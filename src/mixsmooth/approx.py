@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParams, LorentzParams, TrigPoly
+from .core import InvalidParams, LorentzParams, TrigPoly, axis_product
 from .lorentz import lorentz_norm
 from .spectral import angle_residual
 
@@ -160,13 +160,10 @@ def direct_approximant(f: TrigPoly, l, k=1) -> TrigPoly:
     k = tuple(int(v) for v in k)
     if len(k) != f.dim or any(v < 1 for v in k):
         raise InvalidParams(f"difference orders must be >= 1 per axis, got {k}")
-    mult = np.ones(f.coeffs.shape, dtype=np.float64)
-    for axis, (lj, kj) in enumerate(zip(l, k)):
-        kern = jackson_kernel(lj, kj)
-        fac = smoothing_multiplier(kern, f.freqs(axis))
-        shape = [1] * f.dim
-        shape[axis] = fac.size
-        mult = mult * fac.reshape(shape)
+    mult = axis_product([
+        smoothing_multiplier(jackson_kernel(lj, kj), f.freqs(axis))
+        for axis, (lj, kj) in enumerate(zip(l, k))
+    ])
     return f.apply_multiplier(mult, real=f.real if f.real else None)
 
 

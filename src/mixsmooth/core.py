@@ -25,6 +25,7 @@ __all__ = [
     "validate_params",
     "evaluate_on_grid",
     "evaluate_coeff_batch",
+    "axis_product",
     "default_grid_shape",
     "cosine",
     "tensor",
@@ -247,11 +248,7 @@ class TrigPoly:
         coefficients with k_j == 0, so the zero-mean ring condition is a
         statement about coordinate hyperplanes of the spectrum.
         """
-        for axis, n in enumerate(self.degree):
-            plane = np.take(self.coeffs, n, axis=axis)
-            if np.any(plane != 0):
-                return False
-        return True
+        return not self.ring_violation_axes()
 
     def ring_violation_axes(self) -> list[int]:
         """Axes (0-based) whose mean over the corresponding variable is nonzero."""
@@ -392,6 +389,24 @@ def default_grid_shape(dim: int, degree) -> tuple[int, ...]:
     return tuple(out)
 
 
+def axis_product(factors) -> np.ndarray:
+    """Tensor product of per-axis factors, multiplied in axis order.
+
+    Factor j has shape (..., L_j): its last axis runs over axis j of the
+    product and any leading axes broadcast as a batch.  One-axis factors give
+    an array of shape (L_1, ..., L_m); row stacks of shape (B, L_j) give
+    (B, L_1, ..., L_m), one tensor product per row.
+    """
+    dim = len(factors)
+    out = None
+    for axis, fac in enumerate(factors):
+        fac = np.asarray(fac)
+        spread = (1,) * axis + fac.shape[-1:] + (1,) * (dim - axis - 1)
+        term = fac.reshape(fac.shape[:-1] + spread)
+        out = term if out is None else out * term
+    return out
+
+
 def evaluate_on_grid(f: TrigPoly, shape=None) -> np.ndarray:
     """Sample f(2*pi*x) on the uniform grid x in prod_j {0, 1/N_j, ..., (N_j-1)/N_j}.
 
@@ -404,12 +419,7 @@ def evaluate_on_grid(f: TrigPoly, shape=None) -> np.ndarray:
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
     shape = _as_int_tuple(shape, f.dim, "shape")
-    for N, n in zip(shape, f.degree):
-        if N < 2 * n + 1:
-            raise GridTooCoarse(
-                f"grid {shape} cannot resolve degree {f.degree}: need N_j >= 2*n_j+1"
-            )
-    values = _ifft_box(f.coeffs, f.degree, shape)
+    values = _ifft_box(f.coeffs[None, ...], f.degree, shape)[0]
     if f.real:
         scale = float(np.max(np.abs(f.coeffs))) or 1.0
         residue = float(np.max(np.abs(values.imag)))
@@ -421,11 +431,18 @@ def evaluate_on_grid(f: TrigPoly, shape=None) -> np.ndarray:
     return values
 
 
-def _ifft_box(coeffs: np.ndarray, degree, shape) -> np.ndarray:
-    spread = np.zeros(shape, dtype=np.complex128)
+def _ifft_box(coeff_batch: np.ndarray, degree, shape) -> np.ndarray:
+    """Inverse FFT of a stack of coefficient tensors scattered to wrapped bins."""
+    for N, n in zip(shape, degree):
+        if N < 2 * n + 1:
+            raise GridTooCoarse(
+                f"grid {shape} cannot resolve degree {degree}: need N_j >= 2*n_j+1"
+            )
+    spread = np.zeros((coeff_batch.shape[0],) + shape, dtype=np.complex128)
     wrap = tuple(np.arange(-n, n + 1) % N for n, N in zip(degree, shape))
-    spread[np.ix_(*wrap)] = coeffs
-    return np.fft.ifftn(spread) * float(np.prod(shape))
+    spread[(slice(None),) + np.ix_(*wrap)] = coeff_batch
+    axes = tuple(range(1, len(shape) + 1))
+    return np.fft.ifftn(spread, axes=axes) * float(np.prod(shape))
 
 
 def evaluate_coeff_batch(degree, coeff_batch: np.ndarray, shape) -> np.ndarray:
@@ -437,15 +454,5 @@ def evaluate_coeff_batch(degree, coeff_batch: np.ndarray, shape) -> np.ndarray:
     """
     degree = tuple(int(n) for n in degree)
     shape = tuple(int(N) for N in shape)
-    for N, n in zip(shape, degree):
-        if N < 2 * n + 1:
-            raise GridTooCoarse(
-                f"grid {shape} cannot resolve degree {degree}: need N_j >= 2*n_j+1"
-            )
-    batch = coeff_batch.shape[0]
-    spread = np.zeros((batch,) + shape, dtype=np.complex128)
-    wrap = tuple(np.arange(-n, n + 1) % N for n, N in zip(degree, shape))
-    spread[(slice(None),) + np.ix_(*wrap)] = coeff_batch
-    axes = tuple(range(1, len(shape) + 1))
-    values = np.fft.ifftn(spread, axes=axes) * float(np.prod(shape))
-    return np.abs(values).reshape(batch, -1)
+    values = _ifft_box(coeff_batch, degree, shape)
+    return np.abs(values).reshape(coeff_batch.shape[0], int(np.prod(shape)))

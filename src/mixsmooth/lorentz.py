@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridTooCoarse, InvalidParams, LorentzParams, TrigPoly, default_grid_shape, evaluate_on_grid
+from .core import (
+    InvalidParams,
+    LorentzParams,
+    TrigPoly,
+    axis_product,
+    default_grid_shape,
+    evaluate_coeff_batch,
+    evaluate_on_grid,
+)
 
 __all__ = [
     "GridSample",
@@ -26,9 +34,13 @@ __all__ = [
     "lorentz_norm",
     "lorentz_norm_sorted",
     "batch_norms",
+    "multiplier_norms",
     "poly_norm",
     "norm_with_refinement",
 ]
+
+# Bytes of complex spread tensors per batched FFT call; bounds peak memory.
+_CHUNK_BYTES = 48_000_000
 
 
 @dataclass(frozen=True)
@@ -101,6 +113,28 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
     arr = np.abs(np.asarray(values, dtype=np.float64))
     arr = np.sort(arr, axis=-1)[..., ::-1]
     return lorentz_norm_sorted(arr, lp)
+
+
+def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.ndarray:
+    """Lorentz norms of a stack of tensor-multiplier images of f, shape (B,).
+
+    factors holds one entry per axis: a 1-D factor shared by every row, or a
+    (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b];
+    the rows are evaluated on `shape` in chunks that bound the FFT memory.
+    """
+    if shape is None:
+        shape = default_grid_shape(f.dim, f.degree)
+    factors = [np.atleast_2d(fac) for fac in factors]
+    (rows,) = np.broadcast_shapes(*(fac.shape[:-1] for fac in factors))
+    factors = [np.broadcast_to(fac, (rows, fac.shape[-1])) for fac in factors]
+    chunk = max(1, _CHUNK_BYTES // (16 * int(np.prod(shape))))
+    out = np.empty(rows, dtype=np.float64)
+    for start in range(0, rows, chunk):
+        stop = min(rows, start + chunk)
+        batch = f.coeffs * axis_product([fac[start:stop] for fac in factors])
+        values = evaluate_coeff_batch(f.degree, batch, shape)
+        out[start:stop] = batch_norms(values, lp)
+    return out
 
 
 def lorentz_norm(obj, lp: LorentzParams, shape=None) -> float:

@@ -22,16 +22,16 @@ from .core import (
     LorentzParams,
     SmoothParams,
     TrigPoly,
-    default_grid_shape,
-    evaluate_coeff_batch,
+    axis_product,
     validate_params,
 )
-from .lorentz import batch_norms, poly_norm
+from .lorentz import multiplier_norms, poly_norm
 from .smoothness import ModulusGrid, log_modulus_seminorm
 from .spectral import (
+    _axis_block_indices,
+    _nonzero_rows,
     angle_residual_norms,
     block_norms,
-    block_of_frequency,
     max_block_index,
     tail_square_norms,
 )
@@ -152,14 +152,10 @@ def theorem2_rhs(f: TrigPoly, lp: LorentzParams, sp: SmoothParams, shape=None) -
     tails starting at every nu in [1, smax]^m."""
     validate_params(lp, sp, f.dim)
     sig = tail_square_norms(f, lp, shape)
-    weighted = np.array(sig, dtype=np.float64)
-    for axis in range(f.dim):
-        nus = np.arange(1, sig.shape[axis] + 1, dtype=np.float64)
-        w = (nus + 1.0) ** sp.b[axis]
-        shape_w = [1] * f.dim
-        shape_w[axis] = w.size
-        weighted = weighted * w.reshape(shape_w)
-    return poly_norm(f, lp, shape) + theta_sum(weighted, sp.theta)
+    weights = axis_product(
+        [(np.arange(1, v + 1, dtype=np.float64) + 1.0) ** bj for v, bj in zip(sig.shape, sp.b)]
+    )
+    return poly_norm(f, lp, shape) + theta_sum(sig * weights, sp.theta)
 
 
 def _group_bounds(l: int) -> tuple[int, int]:
@@ -189,40 +185,19 @@ def theorem3_norm(f: TrigPoly, lp: LorentzParams, sp: SmoothParams, side: str, s
             top += 1
         l_ranges.append(range(start, top + 1))
     inv_theta = 0.0 if math.isinf(sp.theta) else 1.0 / sp.theta
-    axis_block_ids = [
-        np.array([block_of_frequency(int(k)) for k in f.freqs(axis)]) for axis in range(f.dim)
-    ]
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
-    combos = []
-    masks = []
-    for pos in np.ndindex(*[len(r) for r in l_ranges]):
-        l_vec = tuple(l_ranges[axis][p] for axis, p in enumerate(pos))
-        axis_masks = []
-        for axis, lj in enumerate(l_vec):
-            lo, hi = _group_bounds(lj)
-            ids = axis_block_ids[axis]
-            axis_masks.append((ids >= lo) & (ids <= hi))
-        mask = axis_masks[0]
-        for nxt in axis_masks[1:]:
-            mask = np.tensordot(mask, nxt, axes=0)
-        if not np.any(mask & (f.coeffs != 0)):
-            continue
-        combos.append(l_vec)
-        masks.append(mask)
-    base = poly_norm(f, lp, shape)
-    if not combos:
-        return base
-    batch = np.stack([f.coeffs * m for m in masks])
-    values = evaluate_coeff_batch(f.degree, batch, shape)
-    norms = batch_norms(values, lp)
+    tables = []
+    for axis, r in enumerate(l_ranges):
+        ids = _axis_block_indices(f.freqs(axis))
+        tables.append(np.array([(ids >= lo) & (ids <= hi) for lo, hi in map(_group_bounds, r)]))
+    pos, masks = _nonzero_rows(f, tables)
+    norms = multiplier_norms(f, masks, lp, shape)
     weighted = []
-    for l_vec, val in zip(combos, norms):
+    for p, val in zip(pos, norms):
         w = 1.0
-        for lj, bj in zip(l_vec, sp.b):
+        for lj, bj in zip((r[i] for r, i in zip(l_ranges, p)), sp.b):
             w *= 2.0 ** (lj * (bj + inv_theta))
         weighted.append(w * float(val))
-    return base + theta_sum(weighted, sp.theta)
+    return poly_norm(f, lp, shape) + theta_sum(weighted, sp.theta)
 
 
 @dataclass(frozen=True)

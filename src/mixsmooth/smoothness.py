@@ -33,10 +33,10 @@ from .core import (
     LorentzParams,
     SmoothParams,
     TrigPoly,
+    axis_product,
     default_grid_shape,
-    evaluate_coeff_batch,
 )
-from .lorentz import batch_norms, poly_norm
+from .lorentz import multiplier_norms, poly_norm
 
 __all__ = [
     "TailNotConverged",
@@ -49,9 +49,6 @@ __all__ = [
     "modulus_grid",
     "log_modulus_seminorm",
 ]
-
-# Rows per batched FFT call; keeps peak memory for the spread tensors modest.
-_CHUNK_BYTES = 48_000_000
 
 
 class TailNotConverged(ArithmeticError):
@@ -83,25 +80,17 @@ def derivative(f: TrigPoly, alpha) -> TrigPoly:
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != f.dim or any(a < 0 for a in alpha):
         raise InvalidParams(f"derivative orders must be >= 0 per axis, got {alpha}")
-    mult = np.ones(f.coeffs.shape, dtype=np.complex128)
-    for axis, a in enumerate(alpha):
-        if a == 0:
-            continue
-        fac = (1j * f.freqs(axis).astype(np.float64)) ** a
-        shape = [1] * f.dim
-        shape[axis] = fac.size
-        mult = mult * fac.reshape(shape)
-    return f.apply_multiplier(mult)
+    factors = [(1j * f.freqs(axis).astype(np.float64)) ** a for axis, a in enumerate(alpha)]
+    return f.apply_multiplier(axis_product(factors))
 
 
-def _difference_multiplier(f: TrigPoly, h, k) -> np.ndarray:
-    mult = np.ones(f.coeffs.shape, dtype=np.complex128)
-    for axis, (hj, kj) in enumerate(zip(h, k)):
-        fac = (np.exp(1j * f.freqs(axis) * hj) - 1.0) ** kj
-        shape = [1] * f.dim
-        shape[axis] = fac.size
-        mult = mult * fac.reshape(shape)
-    return mult
+def _difference_factors(f: TrigPoly, h, k) -> list[np.ndarray]:
+    """Per-axis factors (e^{i n h_j} - 1)^(k_j); h of shape (..., dim) gives (..., 2 n_j + 1)."""
+    h = np.asarray(h, dtype=np.float64)
+    return [
+        (np.exp(1j * f.freqs(axis) * h[..., axis, None]) - 1.0) ** kj
+        for axis, kj in enumerate(k)
+    ]
 
 
 def mixed_difference(f: TrigPoly, h, k) -> TrigPoly:
@@ -110,26 +99,14 @@ def mixed_difference(f: TrigPoly, h, k) -> TrigPoly:
     k = _order_tuple(k, f.dim)
     if len(h) != f.dim:
         raise InvalidParams(f"step vector {h} does not match dim {f.dim}")
-    return f.apply_multiplier(_difference_multiplier(f, h, k))
+    return f.apply_multiplier(axis_product(_difference_factors(f, h, k)))
 
 
 def difference_norms(f, h_list, k, lp: LorentzParams, shape=None) -> np.ndarray:
     """Lorentz norms of Delta_h^k f for a stack of step vectors h (rows of h_list)."""
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
     h_arr = np.atleast_2d(np.asarray(h_list, dtype=np.float64))
     k = _order_tuple(k, f.dim)
-    rows = h_arr.shape[0]
-    chunk = max(1, _CHUNK_BYTES // (16 * int(np.prod(shape))))
-    out = np.empty(rows, dtype=np.float64)
-    for start in range(0, rows, chunk):
-        stop = min(rows, start + chunk)
-        batch = np.empty((stop - start,) + f.coeffs.shape, dtype=np.complex128)
-        for i in range(start, stop):
-            batch[i - start] = f.coeffs * _difference_multiplier(f, h_arr[i], k)
-        values = evaluate_coeff_batch(f.degree, batch, shape)
-        out[start:stop] = batch_norms(values, lp)
-    return out
+    return multiplier_norms(f, _difference_factors(f, h_arr, k), lp, shape)
 
 
 def _lattice_points(axes: list[np.ndarray]) -> np.ndarray:
@@ -308,17 +285,9 @@ def _weighted_box_value(grid: ModulusGrid, sp: SmoothParams) -> float:
     theta = sp.theta
     nus = [np.arange(1, v + 1, dtype=np.float64) for v in grid.nu_max]
     if math.isinf(theta):
-        weight = np.ones(grid.nu_max, dtype=np.float64)
-        for axis, (arr, bj) in enumerate(zip(nus, sp.b)):
-            shape = [1] * len(grid.nu_max)
-            shape[axis] = arr.size
-            weight = weight * (arr**bj).reshape(shape)
+        weight = axis_product([arr**bj for arr, bj in zip(nus, sp.b)])
         return float(np.max(weight * grid.values))
-    acc = np.ones(grid.nu_max, dtype=np.float64)
-    for axis, (arr, bj) in enumerate(zip(nus, sp.b)):
-        shape = [1] * len(grid.nu_max)
-        shape[axis] = arr.size
-        acc = acc * (arr ** (theta * bj)).reshape(shape)
+    acc = axis_product([arr ** (theta * bj) for arr, bj in zip(nus, sp.b)])
     total = float(np.sum(acc * grid.values**theta))
     return total ** (1.0 / theta)
 

@@ -17,8 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InvalidParams, LorentzParams, TrigPoly, default_grid_shape, evaluate_coeff_batch
-from .lorentz import batch_norms, lorentz_norm
+from .core import (
+    InvalidParams,
+    LorentzParams,
+    TrigPoly,
+    axis_product,
+    default_grid_shape,
+    evaluate_coeff_batch,
+)
+from .lorentz import batch_norms, multiplier_norms
 
 __all__ = [
     "BlockIndex",
@@ -97,13 +104,6 @@ def _axis_block_mask(freqs: np.ndarray, s: int) -> np.ndarray:
     return (a >= lo) & (a < hi)
 
 
-def _outer_mask(axis_masks) -> np.ndarray:
-    mask = axis_masks[0]
-    for nxt in axis_masks[1:]:
-        mask = np.tensordot(mask, nxt, axes=0)
-    return mask
-
-
 def delta_block(f: TrigPoly, s) -> TrigPoly:
     """Spectral restriction of f to the dyadic block rho(s).
 
@@ -113,12 +113,36 @@ def delta_block(f: TrigPoly, s) -> TrigPoly:
     """
     s = _index_tuple(s, f.dim)
     masks = [_axis_block_mask(f.freqs(axis), sj) for axis, sj in enumerate(s)]
-    return f.apply_multiplier(_outer_mask(masks), real=f.real if f.real else None)
+    return f.apply_multiplier(axis_product(masks), real=f.real if f.real else None)
 
 
 def max_block_index(f: TrigPoly) -> tuple[int, ...]:
     """Per-axis largest block index that can carry a coefficient of f."""
     return tuple(block_of_frequency(n) for n in f.tight_degree())
+
+
+def _nonzero_rows(f: TrigPoly, tables) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Mask combinations that select a nonzero coefficient of f.
+
+    tables[j] holds candidate axis-j masks as rows.  Returns the (B, dim)
+    row positions of every combination whose tensor-product mask meets the
+    spectrum, in lexicographic order, and the per-axis (B, 2 n_j + 1) mask
+    stacks of those combinations.
+    """
+    pos = [
+        p for p in np.ndindex(*[len(t) for t in tables])
+        if np.any(f.coeffs[np.ix_(*[t[i] for t, i in zip(tables, p)])])
+    ]
+    pos = np.array(pos, dtype=np.intp).reshape(-1, f.dim)
+    return pos, [t[pos[:, axis]] for axis, t in enumerate(tables)]
+
+
+def _block_tables(f: TrigPoly) -> list[np.ndarray]:
+    """Per-axis block masks for s_j = 1..smax_j (row s_j - 1)."""
+    return [
+        _axis_block_indices(f.freqs(axis)) == np.arange(1, m + 1)[:, None]
+        for axis, m in enumerate(max_block_index(f))
+    ]
 
 
 @dataclass(frozen=True)
@@ -139,14 +163,8 @@ class BlockDecomposition:
 
 def decompose(f: TrigPoly) -> BlockDecomposition:
     """Split f into its nonzero dyadic blocks (ring members decompose exactly)."""
-    smax = max_block_index(f)
-    blocks: dict[tuple[int, ...], TrigPoly] = {}
-    for s in np.ndindex(*[m + 1 for m in smax]):
-        if any(v == 0 for v in s):
-            continue
-        blk = delta_block(f, s)
-        if np.any(blk.coeffs != 0):
-            blocks[tuple(int(v) for v in s)] = blk
+    pos, _ = _nonzero_rows(f, _block_tables(f))
+    blocks = {tuple(int(v) for v in p + 1): delta_block(f, p + 1) for p in pos}
     return BlockDecomposition(base_degree=f.degree, blocks=blocks)
 
 
@@ -168,12 +186,13 @@ def partial_sum(f: TrigPoly, l) -> TrigPoly:
     """Rectangular partial sum S_l: keep |k_j| <= l_j; l_j = inf keeps the axis whole."""
     l = _cutoff_tuple(l, f.dim)
     masks = [np.abs(f.freqs(axis)) <= lj for axis, lj in enumerate(l)]
-    return f.apply_multiplier(_outer_mask(masks))
+    return f.apply_multiplier(axis_product(masks))
 
 
-def _residual_mask(f: TrigPoly, l) -> np.ndarray:
-    masks = [np.abs(f.freqs(axis)) > lj for axis, lj in enumerate(l)]
-    return _outer_mask(masks)
+def _residual_masks(f: TrigPoly, cutoffs) -> list[np.ndarray]:
+    """Per-axis masks |k_j| > l_j; cutoffs of shape (..., dim) give (..., 2 n_j + 1)."""
+    cutoffs = np.asarray(cutoffs, dtype=np.float64)
+    return [np.abs(f.freqs(axis)) > cutoffs[..., axis, None] for axis in range(f.dim)]
 
 
 def angle_operator(f: TrigPoly, l) -> TrigPoly:
@@ -184,39 +203,26 @@ def angle_operator(f: TrigPoly, l) -> TrigPoly:
     a subset-enumeration oracle in the tests pins the equivalence.
     """
     l = _cutoff_tuple(l, f.dim)
-    return f.apply_multiplier(~_residual_mask(f, l))
+    return f.apply_multiplier(~axis_product(_residual_masks(f, l)))
 
 
 def angle_residual(f: TrigPoly, l) -> TrigPoly:
     """f - U_l(f) as an exact spectral restriction (no subtraction roundoff)."""
     l = _cutoff_tuple(l, f.dim)
-    return f.apply_multiplier(_residual_mask(f, l))
+    return f.apply_multiplier(axis_product(_residual_masks(f, l)))
 
 
 def angle_residual_norms(f: TrigPoly, cutoffs, lp: LorentzParams, shape=None) -> np.ndarray:
     """Lorentz norms of f - U_l(f) for a list of cutoff vectors, batched."""
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
-    cutoffs = [_cutoff_tuple(l, f.dim) for l in cutoffs]
-    batch = np.empty((len(cutoffs),) + f.coeffs.shape, dtype=np.complex128)
-    for i, l in enumerate(cutoffs):
-        batch[i] = f.coeffs * _residual_mask(f, l)
-    values = evaluate_coeff_batch(f.degree, batch, shape)
-    return batch_norms(values, lp)
+    cutoffs = np.array([_cutoff_tuple(l, f.dim) for l in cutoffs]).reshape(-1, f.dim)
+    return multiplier_norms(f, _residual_masks(f, cutoffs), lp, shape)
 
 
 def block_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> dict[tuple[int, ...], float]:
     """Lorentz norms of every nonzero dyadic block, batched, keyed by index tuple."""
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
-    dec = decompose(f)
-    keys = sorted(dec.blocks)
-    if not keys:
-        return {}
-    batch = np.stack([dec.blocks[s].coeffs for s in keys])
-    values = evaluate_coeff_batch(f.degree, batch, shape)
-    norms = batch_norms(values, lp)
-    return {s: float(v) for s, v in zip(keys, norms)}
+    pos, masks = _nonzero_rows(f, _block_tables(f))
+    norms = multiplier_norms(f, masks, lp, shape)
+    return {tuple(int(v) for v in s): float(n) for s, n in zip(pos + 1, norms)}
 
 
 def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
@@ -234,20 +240,15 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
     smax = max_block_index(f)
     if any(v == 0 for v in smax):
         raise InvalidParams("tail norms need a nonzero spectrum on every axis")
-    lattice = tuple(range(1, v + 1) for v in smax)
-    keys = [s for s in np.ndindex(*[len(ax) for ax in lattice])]
-    batch = np.empty((len(keys),) + f.coeffs.shape, dtype=np.complex128)
-    for i, pos in enumerate(keys):
-        s = tuple(lattice[axis][p] for axis, p in enumerate(pos))
-        masks = [_axis_block_mask(f.freqs(axis), sj) for axis, sj in enumerate(s)]
-        batch[i] = f.coeffs * _outer_mask(masks)
-    values = evaluate_coeff_batch(f.degree, batch, shape)
-    squares = (values**2).reshape(tuple(len(ax) for ax in lattice) + (values.shape[-1],))
+    pos, masks = _nonzero_rows(f, _block_tables(f))
+    values = evaluate_coeff_batch(f.degree, f.coeffs * axis_product(masks), shape)
+    # empty blocks sample to exact zeros, so only nonzero ones are evaluated
+    squares = np.zeros(smax + (values.shape[-1],), dtype=np.float64)
+    squares[tuple(pos.T)] = values**2
     for axis in range(len(smax)):
         squares = np.flip(np.cumsum(np.flip(squares, axis=axis), axis=axis), axis=axis)
     flat = np.sqrt(squares.reshape(-1, squares.shape[-1]))
-    norms = batch_norms(flat, lp)
-    return norms.reshape(tuple(len(ax) for ax in lattice))
+    return batch_norms(flat, lp).reshape(smax)
 
 
 def lp_tail_norm(f: TrigPoly, nu, lp: LorentzParams, shape=None) -> float:
@@ -255,18 +256,8 @@ def lp_tail_norm(f: TrigPoly, nu, lp: LorentzParams, shape=None) -> float:
     nu = _index_tuple(nu, f.dim)
     if any(v < 1 for v in nu):
         raise InvalidParams(f"tail start indices must be >= 1, got {nu}")
-    smax = max_block_index(f)
-    if all(v <= m for v, m in zip(nu, smax)):
-        sig = tail_square_norms(f, lp, shape)
-        return float(sig[tuple(v - 1 for v in nu)])
-    # start index beyond the spectrum on some axis: collect blocks directly
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
-    total = None
-    for s, blk in sorted(decompose(f).blocks.items()):
-        if all(sj >= nj for sj, nj in zip(s, nu)):
-            vals = evaluate_coeff_batch(f.degree, blk.coeffs[None, ...], shape)[0]
-            total = vals**2 if total is None else total + vals**2
-    if total is None:
+    if any(v > m for v, m in zip(nu, max_block_index(f))):
+        # every block of f has s_j <= smax_j, so none reaches this start index
         return 0.0
-    return float(batch_norms(np.sqrt(total)[None, :], lp)[0])
+    sig = tail_square_norms(f, lp, shape)
+    return float(sig[tuple(v - 1 for v in nu)])

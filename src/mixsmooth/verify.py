@@ -49,6 +49,7 @@ from .seqnorms import (
 )
 from .smoothness import (
     ModulusGrid,
+    _lattice_points,
     derivative,
     difference_norms,
     log_modulus_seminorm,
@@ -75,26 +76,6 @@ __all__ = [
     "default_threads",
     "parallel_map",
 ]
-
-CHECK_NAMES = (
-    "lemma1_monotone",
-    "lemma1_subadd",
-    "lemma1_deriv",
-    "lemma2_bernstein",
-    "lemma3_sandwich",
-    "lemma4_direct",
-    "lemma5_inverse",
-    "rel_2_2_weight",
-    "thm1",
-    "thm2",
-    "thm3",
-    "thm4_lower",
-    "thm4_upper",
-    "thm5_1",
-    "thm5_23",
-    "lp_equivalence",
-)
-
 
 class UnknownCheck(ValueError):
     """Raised for a check name outside the registry."""
@@ -266,7 +247,6 @@ class VerifyConfig:
     threads: int = 1
     windows: dict | None = None
     thm5_truncation: int | None = None
-    subadd_tolerance: float = 1e-9
 
     def window_for(self, check: str, dim: int):
         if not self.windows:
@@ -587,10 +567,7 @@ def _check_lemma1_subadd(corpus, lp, sp, cfg, ws: Workspace):
             continue
         total = f + g
         for t in (0.75, 0.2):
-            axes = [np.linspace(0.0, t, cfg.h_grid)] * f.dim
-            h_list = np.stack(
-                [a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1
-            )
+            h_list = _lattice_points([np.linspace(0.0, t, cfg.h_grid)] * f.dim)
             lhs = float(
                 np.max(difference_norms(total, h_list, sp.k, lp, _pow2_shape(total)))
             )
@@ -867,6 +844,8 @@ _CHECK_BODIES = {
     "thm5_23": (_check_thm5_23, True, "upper"),
     "lp_equivalence": (_check_lp_equivalence, True, "both"),
 }
+
+CHECK_NAMES = tuple(_CHECK_BODIES)
 
 
 def check_sided(check: str) -> str:

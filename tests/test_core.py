@@ -15,6 +15,7 @@ from mixsmooth.core import (
     LorentzParams,
     SmoothParams,
     TrigPoly,
+    axis_product,
     cosine,
     default_grid_shape,
     evaluate_on_grid,
@@ -148,6 +149,26 @@ def test_apply_multiplier_scales_each_coefficient():
     assert g.coeff((3,)) == pytest.approx(9.0)
     assert g.coeff((-3,)) == pytest.approx(9.0)
     assert g.coeff((1,)) == 0.0
+
+
+def test_axis_product_of_masks_equals_tensordot_outer_product():
+    rng = np.random.default_rng(14)
+    masks = [rng.random(n) < 0.5 for n in (5, 3, 7)]
+    want = np.tensordot(np.tensordot(masks[0], masks[1], axes=0), masks[2], axes=0)
+    got = axis_product(masks)
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
+
+
+def test_axis_product_row_stacks_match_single_products():
+    rng = np.random.default_rng(15)
+    rows = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    shared = rng.standard_normal(3)
+    got = axis_product([rows, shared])
+    assert got.shape == (4, 5, 3)
+    for b in range(4):
+        assert np.array_equal(got[b], axis_product([rows[b], shared]))
+        assert np.array_equal(got[b], rows[b][:, None] * shared[None, :])
 
 
 # --- evaluation ----------------------------------------------------------------

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsmooth.core import LorentzParams, TrigPoly, cosine, tensor
+from mixsmooth import lorentz
+from mixsmooth.core import LorentzParams, TrigPoly, axis_product, cosine, tensor
 from mixsmooth.lorentz import (
     GridSample,
     batch_norms,
     lorentz_norm,
     lorentz_norm_sorted,
+    multiplier_norms,
     norm_with_refinement,
     poly_norm,
     rearrange,
@@ -176,3 +178,55 @@ def test_sorted_norm_rejects_nothing_but_handles_zero():
     lp = LorentzParams(2.0, 1.0)
     assert lorentz_norm_sorted(np.zeros(8), lp) == 0.0
     assert lorentz_norm(TrigPoly.zero(1), lp) == 0.0
+
+
+# --- tensor-multiplier pipeline -------------------------------------------------
+
+
+def _multiplier_case(rng, f, rows=7):
+    """Complex row stack on axis 0, a shared real factor on axis 1."""
+    n0, n1 = f.coeffs.shape
+    stack = rng.standard_normal((rows, n0)) + 1j * rng.standard_normal((rows, n0))
+    return [stack, rng.standard_normal(n1)]
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_multiplier_norms_match_single_polynomial_norms(zero):
+    rng = np.random.default_rng(21)
+    f = TrigPoly.zero(2, (3, 2)) if zero else random_poly(rng, 2, 3)
+    factors = _multiplier_case(rng, f)
+    lp = LorentzParams(3.0, 1.5)
+    shape = (16, 16)
+    got = multiplier_norms(f, factors, lp, shape)
+    mults = axis_product(factors)
+    want = [poly_norm(f.apply_multiplier(m), lp, shape) for m in mults]
+    assert got.shape == (len(mults),)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if zero:
+        assert np.all(got == 0.0)
+
+
+def test_multiplier_norms_chunking_keeps_samples_bitwise(monkeypatch):
+    rng = np.random.default_rng(22)
+    f = random_poly(rng, 2, 3)
+    factors = _multiplier_case(rng, f)
+    lp = LorentzParams(3.0, 1.5)
+    shape = (16, 16)
+    evaluate = lorentz.evaluate_coeff_batch
+    samples = []
+
+    def recording(degree, batch, grid):
+        samples.append(evaluate(degree, batch, grid))
+        return samples[-1]
+
+    monkeypatch.setattr(lorentz, "evaluate_coeff_batch", recording)
+    whole = multiplier_norms(f, factors, lp, shape)
+    assert [len(s) for s in samples] == [7]
+    monkeypatch.setattr(lorentz, "_CHUNK_BYTES", 2 * 16 * 16 * 16)
+    chunked = multiplier_norms(f, factors, lp, shape)
+    assert [len(s) for s in samples[1:]] == [2, 2, 2, 1]
+    assert np.array_equal(np.concatenate(samples[1:]), samples[0])
+    # The rank-weighted sum is a BLAS matrix-vector product whose summation
+    # order depends on the row count of the batch, so the norms agree only up
+    # to reordering the sum of 16 * 16 nonnegative terms.
+    np.testing.assert_allclose(chunked, whole, rtol=16 * 16 * np.finfo(float).eps, atol=0.0)
