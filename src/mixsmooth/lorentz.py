@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 # Bytes of complex spread tensors per batched FFT call; bounds peak memory.
-_CHUNK_BYTES = 48_000_000
+# The FFT, abs, sort and power steps each hold one chunk-sized copy.
+_CHUNK_BYTES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,21 @@ def lorentz_norm_sorted(sorted_values: np.ndarray, lp: LorentzParams) -> np.ndar
     """Norms from already-sorted magnitudes; batch-aware over leading axes.
 
     sorted_values may be (M,) or (..., M) with each row non-increasing.
+    A row's norm does not depend on the batch it sits in, bit for bit: the
+    power runs on contiguous rows and each row sum is its own dot product
+    (a matrix-vector product would order the sums by the batch row count).
     """
-    arr = np.asarray(sorted_values, dtype=np.float64)
+    arr = np.ascontiguousarray(sorted_values, dtype=np.float64)
     w = _step_weights(arr.shape[-1], lp)
-    acc = (arr**lp.tau) @ w
+    acc = np.vecdot(arr**lp.tau, w)
     return acc ** (1.0 / lp.tau)
 
 
 def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
     """Lorentz norms of a stack of unsorted magnitude rows, shape (B, M) -> (B,)."""
     arr = np.abs(np.asarray(values, dtype=np.float64))
-    arr = np.sort(arr, axis=-1)[..., ::-1]
-    return lorentz_norm_sorted(arr, lp)
+    arr.sort(axis=-1)
+    return lorentz_norm_sorted(arr[..., ::-1], lp)
 
 
 def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.ndarray:

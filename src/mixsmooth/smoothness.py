@@ -16,7 +16,11 @@ t in (0, 1]^m at dyadic points t = 2^(1-nu): each dyadic cell of the weight
     seminorm^theta = sum_{nu in [1, nuMax]^m} prod_j nu_j^(theta b_j)
                      * omega_k(f, 2^(1-nu))^theta
 
-(theta = inf takes the corresponding sup).  The truncation is certified: the
+(theta = inf takes the corresponding sup).  The moduli come from one table,
+ModulusGrid: each axis merges the h-lattices of all its levels into one union
+point set, one batch of difference norms covers the product of those unions,
+and the entry at nu is the maximum over the product of the per-axis unions of
+the lattices of levels nu' >= nu.  The truncation is certified: the
 derivative bound omega_k(f, t) <= prod_j t_j^(k_j) ||D^k f|| majorizes every
 discarded term, and the majorant's tail is summed explicitly.
 """
@@ -153,13 +157,14 @@ def mixed_modulus(
 class ModulusGrid:
     """Modulus values on the dyadic step lattice t = 2^(1-nu), nu_j in 1..nu_max_j.
 
-    values[nu_1 - 1, ..., nu_m - 1] is the lattice modulus at step 2^(1-nu),
-    where the effective h-lattice of an entry contains the lattices of every
-    finer entry (suffix maximum over the nu box).  Hence the stored values
-    are non-increasing in every nu_j exactly, by construction.  Per-axis
-    lattices keep h_grid uniform points while t_j * n_max,j > 1 and collapse
-    to the endpoint {t_j} once every coefficient factor |e^{i n h} - 1| is
-    monotone on [0, t_j].
+    Each axis has one h-lattice per level: L_j(nu_j) holds h_grid uniform
+    points on [0, t_j] while t_j * n_max,j > 1, and only the endpoint {t_j}
+    once every coefficient factor |e^{i n h} - 1| is monotone on [0, t_j].
+    values[nu_1 - 1, ..., nu_m - 1] is the largest difference norm over the
+    product U_1(nu_1) x ... x U_m(nu_m) of per-axis unions
+    U_j(nu_j) = union of L_j(nu'_j) over nu'_j >= nu_j, so every entry's
+    h-set contains the h-sets of all finer entries and the stored values are
+    non-increasing in every nu_j exactly, by construction.
     """
 
     p: float
@@ -177,29 +182,32 @@ class ModulusGrid:
         return float(self.values[tuple(v - 1 for v in nu)])
 
 
-def _raw_level_max(f, k, lp, shape, nu, h_grid, n_tight) -> float:
-    axes = []
-    for axis, v in enumerate(nu):
-        tj = 2.0 ** (1 - v)
-        if tj * max(n_tight[axis], 1) > 1.0 and h_grid > 1:
-            axes.append(np.linspace(0.0, tj, h_grid))
-        else:
-            axes.append(np.array([tj]))
-    norms = difference_norms(f, _lattice_points(axes), k, lp, shape)
-    return float(np.max(norms))
+def _axis_union(t_values: np.ndarray, n_tight: int, h_grid: int):
+    """Sorted union of one axis's level lattices, and a (levels, points) mask.
 
-
-def _suffix_max(values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    for axis in range(values.ndim):
-        out = np.flip(np.maximum.accumulate(np.flip(out, axis=axis), axis=axis), axis=axis)
-    return out
+    Row nu - 1 of the mask marks U_j(nu), the points of every level
+    nu' >= nu.  Points are compared exactly, so a step shared by two levels
+    is evaluated once.
+    """
+    levels = [
+        np.linspace(0.0, tj, h_grid) if tj * max(n_tight, 1) > 1.0 and h_grid > 1
+        else np.array([tj])
+        for tj in t_values
+    ]
+    points = np.unique(np.concatenate(levels))
+    keep = np.stack([np.isin(points, lv) for lv in levels])
+    return points, np.logical_or.accumulate(keep[::-1], axis=0)[::-1]
 
 
 def modulus_grid(
     f: TrigPoly, k, lp: LorentzParams, nu_max, h_grid: int = 17, shape=None
 ) -> ModulusGrid:
-    """Tabulate the modulus on the dyadic step lattice with exact monotone order."""
+    """Tabulate the modulus on the dyadic step lattice with exact monotone order.
+
+    One batch of difference norms covers the product of the per-axis union
+    lattices; each entry is then a masked maximum of that table, taken axis
+    by axis.
+    """
     k = _order_tuple(k, f.dim)
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
@@ -208,12 +216,15 @@ def modulus_grid(
     nu_max = tuple(int(v) for v in nu_max)
     if any(v < 1 for v in nu_max):
         raise InvalidParams(f"nu_max must be >= 1 per axis, got {nu_max}")
-    n_tight = f.tight_degree()
-    raw = np.empty(nu_max, dtype=np.float64)
-    for pos in np.ndindex(*nu_max):
-        nu = tuple(v + 1 for v in pos)
-        raw[pos] = _raw_level_max(f, k, lp, shape, nu, h_grid, n_tight)
     t_values = tuple(2.0 ** (1 - np.arange(1, v + 1, dtype=np.float64)) for v in nu_max)
+    unions = [
+        _axis_union(tv, n, h_grid) for tv, n in zip(t_values, f.tight_degree())
+    ]
+    norms = difference_norms(f, _lattice_points([pts for pts, _ in unions]), k, lp, shape)
+    values = norms.reshape([pts.size for pts, _ in unions])
+    for axis, (_, reach) in enumerate(unions):
+        rows = np.moveaxis(values, axis, -1)[..., None, :]
+        values = np.moveaxis(np.where(reach, rows, -np.inf).max(axis=-1), -1, axis)
     return ModulusGrid(
         p=lp.p,
         tau=lp.tau,
@@ -221,7 +232,7 @@ def modulus_grid(
         h_grid=h_grid,
         nu_max=nu_max,
         t_values=t_values,
-        values=_suffix_max(raw),
+        values=values,
     )
 
 

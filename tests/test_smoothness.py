@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixsmooth import smoothness
 from mixsmooth.core import LorentzParams, SmoothParams, TrigPoly, cosine, evaluate_on_grid, tensor
 from mixsmooth.lorentz import poly_norm
 from mixsmooth.smoothness import (
@@ -148,13 +149,88 @@ def test_modulus_vanishes_with_t(seed):
 
 
 # --- modulus lattice cache --------------------------------------------------
+# reference: the per-cell table.  Every cell nu evaluates its own lattice
+# product (h_grid points per axis while t * n > 1, else the endpoint t), and a
+# suffix maximum over nu' >= nu then folds in every finer cell.
+
+
+def per_cell_modulus_table(f, k, lp, nu_max, h_grid=17, shape=None):
+    n_tight = f.tight_degree()
+    raw = np.empty(nu_max)
+    for pos in np.ndindex(*nu_max):
+        axes = []
+        for n, level in zip(n_tight, pos):
+            t = 2.0 ** (-level)
+            if t * max(n, 1) > 1.0 and h_grid > 1:
+                axes.append(np.linspace(0.0, t, h_grid))
+            else:
+                axes.append(np.array([t]))
+        grids = np.meshgrid(*axes, indexing="ij")
+        steps = np.stack([g.ravel() for g in grids], axis=-1)
+        raw[pos] = np.max(difference_norms(f, steps, k, lp, shape))
+    for axis in range(raw.ndim):
+        raw = np.flip(np.maximum.accumulate(np.flip(raw, axis), axis=axis), axis)
+    return raw
+
+
+LP_MIXED = LorentzParams(3.0, 1.5)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # deg 9: levels 1-4 keep 17 points, 5-6 collapse to {t}
+        dict(f=("ring", 1, 9, 31), k=(1,), nu_max=(6,), h_grid=17, shape=(32,)),
+        dict(f=("ring", 1, 9, 32), k=(3,), nu_max=(7,), h_grid=2, shape=(32,)),
+        # |sin(3 t)| peaks near t = 1/2, so finer cells raise coarser ones
+        dict(f=("cos", 1, 6, 0), k=(1,), nu_max=(5,), h_grid=2, shape=(16,)),
+        dict(f=("zero", 1, 4, 0), k=(1,), nu_max=(4,), h_grid=17, shape=(16,)),
+        dict(f=("ring", 2, 4, 33), k=(2, 1), nu_max=(5, 3), h_grid=17, shape=(16, 16)),
+        dict(f=("ring", 2, 3, 34), k=(1, 1), nu_max=(3, 6), h_grid=2, shape=(16, 16)),
+        dict(f=("cos", 2, 6, 0), k=(1, 2), nu_max=(4, 3), h_grid=2, shape=(16, 16)),
+        dict(f=("zero", 2, 3, 0), k=(2, 1), nu_max=(3, 2), h_grid=17, shape=(16, 16)),
+        dict(f=("ring", 3, 2, 35), k=(1, 2, 1), nu_max=(3, 2, 4), h_grid=5, shape=(8, 8, 8)),
+    ],
+    ids=["m1", "m1-h2", "m1-cos", "m1-zero", "m2-k21", "m2-h2", "m2-cos", "m2-zero", "m3"],
+)
+def test_modulus_grid_equals_per_cell_table_bitwise(case):
+    kind, dim, degree, seed = case["f"]
+    if kind == "zero":
+        f = TrigPoly.zero(dim, degree)
+    elif kind == "cos":
+        f = tensor(*[cosine(degree)] * dim)
+    else:
+        f = ring_poly(np.random.default_rng(seed), dim, degree)
+    args = (f, case["k"], LP_MIXED, case["nu_max"])
+    grid = modulus_grid(*args, h_grid=case["h_grid"], shape=case["shape"])
+    want = per_cell_modulus_table(*args, h_grid=case["h_grid"], shape=case["shape"])
+    assert grid.values.shape == case["nu_max"]
+    assert grid.values.flags.c_contiguous
+    assert np.array_equal(grid.values, want)
+    if kind == "zero":
+        assert np.all(grid.values == 0.0)
+
+
+def test_modulus_grid_makes_one_difference_batch(monkeypatch):
+    f = ring_poly(np.random.default_rng(36), 2, 4)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return difference_norms(*args, **kwargs)
+
+    monkeypatch.setattr(smoothness, "difference_norms", counting)
+    modulus_grid(f, (1, 1), L2, nu_max=(5, 4), shape=(16, 16))
+    assert len(calls) == 1
+    modulus_grid(f, (2, 1), LP_MIXED, nu_max=(3, 6), h_grid=5, shape=(16, 16))
+    assert len(calls) == 2
 
 
 def test_modulus_grid_structure():
     f = ring_poly(np.random.default_rng(26), 1, 9)
     grid = modulus_grid(f, (1,), L2, nu_max=(4,))
     assert grid.values.shape == tuple(len(tv) for tv in grid.t_values)
-    # suffix max makes the stored table exactly monotone in each axis
+    # nested per-level unions make the stored table exactly monotone
     v = grid.values
     assert np.all(v[:-1] >= v[1:] - 0.0)
     # table agrees with the direct computation at its own nodes, indexed by
