@@ -323,8 +323,9 @@ class TrigPoly:
         return f"TrigPoly(dim={self.dim}, degree={self.degree}, nnz={nnz}, real={self.real})"
 
 
-def _is_hermitian(coeffs: np.ndarray) -> bool:
-    flipped = coeffs[tuple(slice(None, None, -1) for _ in range(coeffs.ndim))]
+def _is_hermitian(coeffs: np.ndarray, lead: int = 0) -> bool:
+    """Exact test a_{-k} == conj(a_k) on every axis after the first `lead`."""
+    flipped = coeffs[(slice(None),) * lead + (slice(None, None, -1),) * (coeffs.ndim - lead)]
     return bool(np.array_equal(coeffs, np.conj(flipped)))
 
 
@@ -431,18 +432,34 @@ def evaluate_on_grid(f: TrigPoly, shape=None) -> np.ndarray:
     return values
 
 
-def _ifft_box(coeff_batch: np.ndarray, degree, shape) -> np.ndarray:
-    """Inverse FFT of a stack of coefficient tensors scattered to wrapped bins."""
+def _ifft_box(coeff_batch: np.ndarray, degree, shape, real: bool = False) -> np.ndarray:
+    """Inverse FFT of a stack of coefficient tensors scattered to wrapped bins.
+
+    With real=True every row must be Hermitian: only the last-axis
+    frequencies 0..n_m are scattered, into a (n_m + 1)-wide half spectrum,
+    and a real inverse FFT returns float64 samples.
+    """
     for N, n in zip(shape, degree):
         if N < 2 * n + 1:
             raise GridTooCoarse(
                 f"grid {shape} cannot resolve degree {degree}: need N_j >= 2*n_j+1"
             )
-    spread = np.zeros((coeff_batch.shape[0],) + shape, dtype=np.complex128)
-    wrap = tuple(np.arange(-n, n + 1) % N for n, N in zip(degree, shape))
+    wrap = [np.arange(-n, n + 1) % N for n, N in zip(degree, shape)]
+    size = shape
+    if real:
+        n = degree[-1]
+        coeff_batch = coeff_batch[..., n:]
+        wrap[-1] = np.arange(n + 1)
+        size = shape[:-1] + (n + 1,)
+    spread = np.zeros((coeff_batch.shape[0],) + size, dtype=np.complex128)
     spread[(slice(None),) + np.ix_(*wrap)] = coeff_batch
     axes = tuple(range(1, len(shape) + 1))
-    return np.fft.ifftn(spread, axes=axes) * float(np.prod(shape))
+    if real:
+        values = np.fft.irfftn(spread, s=shape, axes=axes)
+    else:
+        values = np.fft.ifftn(spread, axes=axes)
+    values *= float(np.prod(shape))
+    return values
 
 
 def evaluate_coeff_batch(degree, coeff_batch: np.ndarray, shape) -> np.ndarray:
@@ -451,8 +468,21 @@ def evaluate_coeff_batch(degree, coeff_batch: np.ndarray, shape) -> np.ndarray:
     coeff_batch has shape (B, 2 n_1 + 1, ..., 2 n_m + 1).  Each row is
     scattered to wrapped FFT bins and inverted in one batched transform, the
     workhorse behind difference-lattice sweeps and per-block evaluations.
+
+    Two paths give the same magnitudes up to roundoff.  When the whole batch
+    is exactly Hermitian (every row equals the conjugate of itself flipped
+    on every coefficient axis, compared with np.array_equal, no tolerance),
+    every row is a real polynomial: only its last-axis frequencies 0..n_m
+    are scattered and a real inverse FFT (irfftn) samples it.  Every batch
+    of difference factors or spectral masks of a real polynomial is of this
+    kind.  Any other batch, a complex polynomial's or one that rounding left
+    a ulp off symmetric, takes the complex inverse FFT of the full box.
+    Both paths raise GridTooCoarse unless N_j >= 2 n_j + 1.
     """
     degree = tuple(int(n) for n in degree)
     shape = tuple(int(N) for N in shape)
-    values = _ifft_box(coeff_batch, degree, shape)
-    return np.abs(values).reshape(coeff_batch.shape[0], int(np.prod(shape)))
+    real = _is_hermitian(coeff_batch, lead=1)
+    values = _ifft_box(coeff_batch, degree, shape, real=real)
+    # real samples are a fresh float64 array, so their magnitudes can overwrite them
+    values = np.abs(values, out=values if real else None)
+    return values.reshape(coeff_batch.shape[0], int(np.prod(shape)))

@@ -39,8 +39,11 @@ __all__ = [
     "norm_with_refinement",
 ]
 
-# Bytes of complex spread tensors per batched FFT call; bounds peak memory.
-# The FFT, abs, sort and power steps each hold one chunk-sized copy.
+# Bound on rows x grid points x 16 B per evaluate_coeff_batch call, which
+# bounds peak memory.  A complex-path chunk holds complex128 samples (16 B per
+# point); a real-path chunk holds float64 samples (8 B per point) plus an
+# (n_m + 1)-wide complex half spectrum.  The abs, sort and power steps each
+# hold one float64 copy.  Twice the rows per chunk ran verify slower, not faster.
 _CHUNK_BYTES = 4_000_000
 
 

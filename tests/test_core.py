@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixsmooth import core
 from mixsmooth.core import (
     DEGREE_GUARD,
     GridTooCoarse,
@@ -15,12 +16,16 @@ from mixsmooth.core import (
     LorentzParams,
     SmoothParams,
     TrigPoly,
+    _ifft_box,
     axis_product,
     cosine,
     default_grid_shape,
+    evaluate_coeff_batch,
     evaluate_on_grid,
     tensor,
 )
+from mixsmooth.smoothness import _difference_factors
+from mixsmooth.spectral import _block_tables, _nonzero_rows, _residual_masks
 
 
 # --- oracle -----------------------------------------------------------------
@@ -47,7 +52,8 @@ def _entries(f: TrigPoly):
 
 
 def random_poly(rng, dim, degree, real=True):
-    shape = tuple(2 * degree + 1 for _ in range(dim))
+    degree = tuple(int(n) for n in np.broadcast_to(degree, (dim,)))
+    shape = tuple(2 * n + 1 for n in degree)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if real:
         flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in range(dim))])
@@ -191,6 +197,103 @@ def test_evaluation_matches_direct_dft_2d_complex():
     got = evaluate_on_grid(f, shape)
     want = direct_eval(f, shape)
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+# --- batched evaluation: real-input and complex paths -------------------------
+# The reference is the complex transform _ifft_box takes for any batch.
+
+
+def record_paths(monkeypatch):
+    """Patch core._ifft_box to log the `real` flag of every batched transform."""
+    paths = []
+
+    def recording(coeff_batch, degree, shape, real=False):
+        paths.append(real)
+        return _ifft_box(coeff_batch, degree, shape, real=real)
+
+    monkeypatch.setattr(core, "_ifft_box", recording)
+    return paths
+
+
+def complex_reference(batch, degree, shape):
+    return np.abs(_ifft_box(batch, degree, shape)).reshape(len(batch), int(np.prod(shape)))
+
+
+def multiplier_batches(rng, f):
+    """Difference-factor, dyadic-block and angle-residual batches of f."""
+    h = rng.uniform(0.0, 2.0 * np.pi, size=(5, f.dim))
+    k = (2,) + (1,) * (f.dim - 1)
+    cutoffs = rng.integers(0, max(f.degree) + 1, size=(3, f.dim))
+    _, blocks = _nonzero_rows(f, _block_tables(f))
+    return [
+        f.coeffs * axis_product(_difference_factors(f, h, k)),
+        f.coeffs * axis_product(blocks),
+        f.coeffs * axis_product(_residual_masks(f, cutoffs)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "degree, shape",
+    [
+        ((6,), (32,)),
+        ((6,), (17,)),
+        ((0,), (4,)),
+        ((3, 4), (16, 16)),
+        ((8, 8), (17, 17)),
+        ((5, 9), (31, 19)),
+        ((4, 0), (16, 8)),
+        ((2, 1, 2), (8, 4, 8)),
+        ((3, 2, 0), (7, 5, 3)),
+    ],
+)
+def test_real_path_matches_complex_transform(monkeypatch, degree, shape):
+    rng = np.random.default_rng(40 + sum(degree) + sum(shape))
+    f = random_poly(rng, len(degree), degree)
+    batches = multiplier_batches(rng, f)
+    paths = record_paths(monkeypatch)
+    for batch in batches:
+        got = evaluate_coeff_batch(f.degree, batch, shape)
+        want = complex_reference(batch, f.degree, shape)
+        assert got.shape == want.shape == (len(batch), int(np.prod(shape)))
+        scale = float(np.max(want, initial=0.0)) or 1.0
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+    assert paths == [True] * len(batches)
+
+
+def test_non_hermitian_batches_take_the_complex_path(monkeypatch):
+    rng = np.random.default_rng(31)
+    f = random_poly(rng, 2, 3)
+    g = random_poly(rng, 2, 3, real=False)
+    h = rng.uniform(0.0, 2.0 * np.pi, size=(4, 2))
+    hermitian = f.coeffs * axis_product(_difference_factors(f, h, (1, 1)))
+    one_ulp = hermitian.copy()
+    v = one_ulp[1, 0, 2]
+    one_ulp[1, 0, 2] = complex(np.nextafter(v.real, np.inf), v.imag)
+    complex_dc = hermitian.copy()
+    complex_dc[2, 3, 3] += 0.5j
+    batches = [
+        hermitian,
+        g.coeffs * axis_product(_difference_factors(g, h, (1, 1))),
+        one_ulp,
+        complex_dc,
+    ]
+    shape = (16, 16)
+    paths = record_paths(monkeypatch)
+    for batch in batches:
+        got = evaluate_coeff_batch(f.degree, batch, shape)
+        want = complex_reference(batch, f.degree, shape)
+        scale = float(np.max(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert paths == [True, False, False, False]
+
+
+def test_coeff_batch_empty_and_too_coarse():
+    empty = np.zeros((0, 5, 7), dtype=np.complex128)
+    assert evaluate_coeff_batch((2, 3), empty, (8, 8)).shape == (0, 64)
+    f = random_poly(np.random.default_rng(32), 2, (2, 3))
+    assert core._is_hermitian(f.coeffs[None], lead=1)
+    with pytest.raises(GridTooCoarse):
+        evaluate_coeff_batch(f.degree, f.coeffs[None], (8, 6))  # axis 1 needs >= 7
 
 
 def test_grid_too_coarse_raises():

@@ -20,7 +20,7 @@ from mixsmooth.lorentz import (
     rearrange,
 )
 
-from test_core import random_poly
+from test_core import random_poly, record_paths
 
 
 # --- oracles ------------------------------------------------------------------
@@ -193,6 +193,19 @@ def _multiplier_case(rng, f, rows=7):
     return [stack, rng.standard_normal(n1)]
 
 
+def record_samples(monkeypatch):
+    """Patch lorentz.evaluate_coeff_batch to keep the samples of every chunk."""
+    evaluate = lorentz.evaluate_coeff_batch
+    samples = []
+
+    def recording(degree, batch, grid):
+        samples.append(evaluate(degree, batch, grid))
+        return samples[-1]
+
+    monkeypatch.setattr(lorentz, "evaluate_coeff_batch", recording)
+    return samples
+
+
 @pytest.mark.parametrize("zero", [False, True])
 def test_multiplier_norms_match_single_polynomial_norms(zero):
     rng = np.random.default_rng(21)
@@ -215,14 +228,7 @@ def test_multiplier_norms_chunking_keeps_samples_bitwise(monkeypatch):
     factors = _multiplier_case(rng, f)
     lp = LorentzParams(3.0, 1.5)
     shape = (16, 16)
-    evaluate = lorentz.evaluate_coeff_batch
-    samples = []
-
-    def recording(degree, batch, grid):
-        samples.append(evaluate(degree, batch, grid))
-        return samples[-1]
-
-    monkeypatch.setattr(lorentz, "evaluate_coeff_batch", recording)
+    samples = record_samples(monkeypatch)
     whole = multiplier_norms(f, factors, lp, shape)
     assert [len(s) for s in samples] == [7]
     monkeypatch.setattr(lorentz, "_CHUNK_BYTES", 2 * 16 * 16 * 16)
@@ -230,3 +236,29 @@ def test_multiplier_norms_chunking_keeps_samples_bitwise(monkeypatch):
     assert [len(s) for s in samples[1:]] == [2, 2, 2, 1]
     assert np.array_equal(np.concatenate(samples[1:]), samples[0])
     assert np.array_equal(chunked, whole)
+
+
+def test_hermitian_multiplier_chunking_keeps_samples_and_norms_bitwise(monkeypatch):
+    # conjugate-symmetric rows on axis 0 and an even factor on axis 1 keep
+    # every batch of the real f Hermitian, so the real-input transform runs
+    rng = np.random.default_rng(23)
+    f = random_poly(rng, 2, 3)
+    stack, shared = _multiplier_case(rng, f)
+    stack = stack + np.conj(stack[:, ::-1])
+    shared = shared + shared[::-1]
+    lp = LorentzParams(3.0, 1.5)
+    shape = (16, 16)
+    samples = record_samples(monkeypatch)
+    paths = record_paths(monkeypatch)
+    whole = multiplier_norms(f, [stack, shared], lp, shape)
+    assert [len(s) for s in samples] == [7]
+    singles = [multiplier_norms(f, [stack[b : b + 1], shared], lp, shape) for b in range(7)]
+    for b, single in enumerate(singles):
+        assert np.array_equal(samples[1 + b], samples[0][b : b + 1])
+        assert np.array_equal(single, whole[b : b + 1])
+    monkeypatch.setattr(lorentz, "_CHUNK_BYTES", 2 * 16 * 16 * 16)
+    chunked = multiplier_norms(f, [stack, shared], lp, shape)
+    assert [len(s) for s in samples[8:]] == [2, 2, 2, 1]
+    assert np.array_equal(np.concatenate(samples[8:]), samples[0])
+    assert np.array_equal(chunked, whole)
+    assert paths == [True] * 12
