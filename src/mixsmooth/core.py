@@ -433,7 +433,12 @@ def evaluate_on_grid(f: TrigPoly, shape=None) -> np.ndarray:
 
 
 def _ifft_box(coeff_batch: np.ndarray, degree, shape, real: bool = False) -> np.ndarray:
-    """Inverse FFT of a stack of coefficient tensors scattered to wrapped bins.
+    """Fourier sums of a stack of coefficient tensors scattered to wrapped bins.
+
+    The inverse FFT runs unscaled (norm="forward"), so each row is the plain
+    sum sum_k a_k exp(i <k, y>) at the grid points, with no 1/prod N factor
+    to undo.  On power-of-two grids this gives the same bits as scaling the
+    default transform back by prod N, since both scalings are exact there.
 
     With real=True every row must be Hermitian: only the last-axis
     frequencies 0..n_m are scattered, into a (n_m + 1)-wide half spectrum,
@@ -455,11 +460,8 @@ def _ifft_box(coeff_batch: np.ndarray, degree, shape, real: bool = False) -> np.
     spread[(slice(None),) + np.ix_(*wrap)] = coeff_batch
     axes = tuple(range(1, len(shape) + 1))
     if real:
-        values = np.fft.irfftn(spread, s=shape, axes=axes)
-    else:
-        values = np.fft.ifftn(spread, axes=axes)
-    values *= float(np.prod(shape))
-    return values
+        return np.fft.irfftn(spread, s=shape, axes=axes, norm="forward")
+    return np.fft.ifftn(spread, axes=axes, norm="forward")
 
 
 def evaluate_coeff_batch(degree, coeff_batch: np.ndarray, shape) -> np.ndarray:

@@ -42,8 +42,8 @@ __all__ = [
 # Bound on rows x grid points x 16 B per evaluate_coeff_batch call, which
 # bounds peak memory.  A complex-path chunk holds complex128 samples (16 B per
 # point); a real-path chunk holds float64 samples (8 B per point) plus an
-# (n_m + 1)-wide complex half spectrum.  The abs, sort and power steps each
-# hold one float64 copy.  Twice the rows per chunk ran verify slower, not faster.
+# (n_m + 1)-wide complex half spectrum.  The abs, power and sort steps share
+# one float64 copy.  Twice the rows per chunk ran verify slower, not faster.
 _CHUNK_BYTES = 4_000_000
 
 
@@ -116,10 +116,22 @@ def lorentz_norm_sorted(sorted_values: np.ndarray, lp: LorentzParams) -> np.ndar
 
 
 def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
-    """Lorentz norms of a stack of unsorted magnitude rows, shape (B, M) -> (B,)."""
+    """Lorentz norms of a stack of unsorted sample rows, shape (B, M) -> (B,).
+
+    The whole reduction runs in the one float64 copy that np.abs makes, so
+    values is left as it was: |x| -> |x|^tau -> -|x|^tau -> ascending sort ->
+    dot with the negated step weights.  Powering before sorting keeps the
+    order because x -> x^tau is increasing; negation is exact, so the
+    ascending sort of -|x|^tau is the non-increasing rearrangement of
+    |x|^tau negated, and (-a)(-w) = a w makes every product and partial sum
+    equal those of lorentz_norm_sorted on the rearranged rows.
+    """
     arr = np.abs(np.asarray(values, dtype=np.float64))
+    np.power(arr, lp.tau, out=arr)
+    np.negative(arr, out=arr)
     arr.sort(axis=-1)
-    return lorentz_norm_sorted(arr[..., ::-1], lp)
+    acc = np.vecdot(arr, np.negative(_step_weights(arr.shape[-1], lp)))
+    return acc ** (1.0 / lp.tau)
 
 
 def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.ndarray:

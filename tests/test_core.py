@@ -260,6 +260,54 @@ def test_real_path_matches_complex_transform(monkeypatch, degree, shape):
     assert paths == [True] * len(batches)
 
 
+def scaled_transform(batch, degree, shape, real):
+    """Default-normalised inverse FFT of the wrapped spread, scaled back by prod N."""
+    wrap = [np.arange(-n, n + 1) % N for n, N in zip(degree, shape)]
+    size = shape
+    if real:
+        batch = batch[..., degree[-1]:]
+        wrap[-1] = np.arange(degree[-1] + 1)
+        size = shape[:-1] + (degree[-1] + 1,)
+    spread = np.zeros((len(batch),) + size, dtype=np.complex128)
+    spread[(slice(None),) + np.ix_(*wrap)] = batch
+    axes = tuple(range(1, len(shape) + 1))
+    if real:
+        values = np.fft.irfftn(spread, s=shape, axes=axes)
+    else:
+        values = np.fft.ifftn(spread, axes=axes)
+    return values * float(np.prod(shape))
+
+
+@pytest.mark.parametrize(
+    "degree, shape, exact",
+    [
+        ((3, 4), (16, 16), True),
+        ((7, 5), (32, 32), True),
+        ((2, 1, 2), (8, 4, 8), True),
+        ((8, 8), (17, 17), False),
+        ((5, 9), (31, 19), False),
+        ((3, 2, 0), (7, 5, 3), False),
+    ],
+)
+def test_unscaled_transform_equals_scaled_default(degree, shape, exact):
+    # norm="forward" skips the 1/prod N scaling that the old code undid by
+    # multiplying with prod N; both are exact on power-of-two grids
+    rng = np.random.default_rng(50 + sum(degree) + sum(shape))
+    f = random_poly(rng, len(degree), degree)
+    g = random_poly(rng, len(degree), degree, real=False)
+    hermitian = multiplier_batches(rng, f)[0]
+    cases = [(hermitian, True), (hermitian, False), (g.coeffs[None], False)]
+    for batch, real in cases:
+        got = _ifft_box(batch, f.degree, shape, real=real)
+        want = scaled_transform(batch, f.degree, shape, real)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 def test_non_hermitian_batches_take_the_complex_path(monkeypatch):
     rng = np.random.default_rng(31)
     f = random_poly(rng, 2, 3)

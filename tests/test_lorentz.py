@@ -162,6 +162,32 @@ def test_batch_norms_agree_with_singles():
         assert np.array_equal(batch_norms(block[i : i + 1], lp), got[i : i + 1])
 
 
+def batch_norm_rows(rng):
+    """Random signed rows, rows with ties and exact zeros, and an all-zero row."""
+    random = rng.standard_normal((3, 64))
+    ties = np.round(rng.standard_normal((3, 64)))  # few distinct levels, many zeros
+    ties[:, ::5] = 0.0
+    ties[1, ::7] = -0.0
+    return np.concatenate([random, ties, np.zeros((1, 64))])
+
+
+@pytest.mark.parametrize("p, tau", [(3.0, 1.5), (2.0, 2.0), (3.0, 3.0), (1.5, 1.0), (2.5, 4.0)])
+def test_batch_norms_equal_sorted_reference_bitwise(p, tau):
+    rows = batch_norm_rows(np.random.default_rng(int(10 * (p + tau))))
+    lp = LorentzParams(p, tau)
+    want = lorentz_norm_sorted(np.sort(np.abs(rows), axis=-1)[:, ::-1], lp)
+    got = batch_norms(rows, lp)
+    assert np.array_equal(got, want)
+    assert got[-1] == 0.0
+
+
+def test_batch_norms_leave_input_unchanged():
+    rows = batch_norm_rows(np.random.default_rng(13))
+    before = rows.copy()
+    batch_norms(rows, LorentzParams(3.0, 1.5))
+    assert rows.tobytes() == before.tobytes()
+
+
 def test_lorentz_norm_accepts_polynomials_and_samples():
     f = tensor(cosine(2), cosine(3))
     lp = LorentzParams(2.0, 2.0)
