@@ -35,9 +35,6 @@ __all__ = [
 # grows like prod(2 n_j + 1) * log and silently huge inputs are usually bugs.
 DEGREE_GUARD = 128
 
-# Relative bound on the imaginary residue of samples of a real polynomial.
-REAL_RESIDUE = 1e-10
-
 
 class InvalidParams(ValueError):
     """Raised when a parameter bundle violates its admissible range."""
@@ -414,22 +411,14 @@ def evaluate_on_grid(f: TrigPoly, shape=None) -> np.ndarray:
     Uses the inverse FFT of the coefficient tensor scattered to wrapped bins.
     Requires N_j >= 2 n_j + 1 on every axis (raises GridTooCoarse otherwise);
     at that resolution the embedding is alias-free and the samples are exact
-    up to roundoff.  Real polynomials return float64 samples after checking
-    that the imaginary residue is below 1e-10 times the coefficient scale.
+    up to roundoff.  Real polynomials (f.real, the exact Hermitian test made
+    at construction) are sampled with the half-spectrum real inverse FFT and
+    return float64 samples; any other f returns complex128 samples.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
     shape = _as_int_tuple(shape, f.dim, "shape")
-    values = _ifft_box(f.coeffs[None, ...], f.degree, shape)[0]
-    if f.real:
-        scale = float(np.max(np.abs(f.coeffs))) or 1.0
-        residue = float(np.max(np.abs(values.imag)))
-        if residue > REAL_RESIDUE * scale * np.prod([2 * n + 1 for n in f.degree]):
-            raise ArithmeticError(
-                f"imaginary residue {residue:.3e} too large for a real polynomial"
-            )
-        return values.real.copy()
-    return values
+    return _ifft_box(f.coeffs[None, ...], f.degree, shape, real=f.real)[0]
 
 
 def _ifft_box(coeff_batch: np.ndarray, degree, shape, real: bool = False) -> np.ndarray:

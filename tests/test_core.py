@@ -199,6 +199,34 @@ def test_evaluation_matches_direct_dft_2d_complex():
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "degree, shape",
+    [
+        ((6,), (16,)),
+        ((8,), (17,)),
+        ((3, 4), (16, 16)),
+        ((8, 8), (17, 17)),
+        ((5, 9), (31, 19)),
+        ((2, 1, 2), (8, 4, 8)),
+        ((3, 2, 0), (7, 5, 3)),
+    ],
+)
+def test_real_polynomials_are_sampled_on_the_real_path(monkeypatch, degree, shape):
+    rng = np.random.default_rng(60 + sum(degree) + sum(shape))
+    f = random_poly(rng, len(degree), degree)
+    g = random_poly(rng, len(degree), degree, real=False)
+    paths = record_paths(monkeypatch)
+    got = evaluate_on_grid(f, shape)
+    want = _ifft_box(f.coeffs[None], f.degree, shape)[0]
+    assert got.dtype == np.float64 and got.shape == shape
+    scale = float(np.max(np.abs(want)))
+    assert np.max(np.abs(got - want.real)) <= 1e-12 * scale
+    samples = evaluate_on_grid(g, shape)
+    assert samples.dtype == np.complex128
+    assert np.array_equal(samples, _ifft_box(g.coeffs[None], g.degree, shape)[0])
+    assert paths == [True, False]
+
+
 # --- batched evaluation: real-input and complex paths -------------------------
 # The reference is the complex transform _ifft_box takes for any batch.
 
