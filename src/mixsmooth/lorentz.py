@@ -9,6 +9,12 @@ function the distribution integral has the closed form
 with f* the absolute values sorted in non-increasing order, so no quadrature
 is involved.  At tau = p the bracket telescopes to 1/M and the value is the
 plain discrete L_p norm.
+
+Batches of sample rows (batch_norms, multiplier_norms) are reduced in one
+float64 buffer per chunk: the samples' absolute values are powered, negated
+and sorted in place, which gives the same bits as sorting first.  Every row
+sum is numpy's pairwise sum of that row alone, so a norm has the same bits
+in any batch, chunking or BLAS thread count.
 """
 
 from __future__ import annotations
@@ -101,17 +107,27 @@ def _step_weights(size: int, lp: LorentzParams) -> np.ndarray:
     return np.diff(t ** (lp.tau / lp.p))
 
 
+def _weighted_row_sums(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row sums of arr * w, computed in arr (which is overwritten).
+
+    np.add.reduce sums each contiguous row with numpy's pairwise summation,
+    so a row's sum has the same bits in any batch and at any BLAS thread
+    count; a BLAS dot product splits long rows across threads.
+    """
+    np.multiply(arr, w, out=arr)
+    return np.add.reduce(arr, axis=-1)
+
+
 def lorentz_norm_sorted(sorted_values: np.ndarray, lp: LorentzParams) -> np.ndarray:
     """Norms from already-sorted magnitudes; batch-aware over leading axes.
 
     sorted_values may be (M,) or (..., M) with each row non-increasing.
-    A row's norm does not depend on the batch it sits in, bit for bit: the
-    power runs on contiguous rows and each row sum is its own dot product
-    (a matrix-vector product would order the sums by the batch row count).
+    A row's norm does not depend on the batch it sits in or on the BLAS
+    thread count, bit for bit: the power runs on contiguous rows and each
+    row is summed on its own by _weighted_row_sums.
     """
-    arr = np.ascontiguousarray(sorted_values, dtype=np.float64)
-    w = _step_weights(arr.shape[-1], lp)
-    acc = np.vecdot(arr**lp.tau, w)
+    arr = np.ascontiguousarray(sorted_values, dtype=np.float64) ** lp.tau
+    acc = _weighted_row_sums(arr, _step_weights(arr.shape[-1], lp))
     return acc ** (1.0 / lp.tau)
 
 
@@ -120,7 +136,7 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
 
     The whole reduction runs in the one float64 copy that np.abs makes, so
     values is left as it was: |x| -> |x|^tau -> -|x|^tau -> ascending sort ->
-    dot with the negated step weights.  Powering before sorting keeps the
+    row sums of the products with the negated step weights.  Powering before sorting keeps the
     order because x -> x^tau is increasing; negation is exact, so the
     ascending sort of -|x|^tau is the non-increasing rearrangement of
     |x|^tau negated, and (-a)(-w) = a w makes every product and partial sum
@@ -130,7 +146,7 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
     np.power(arr, lp.tau, out=arr)
     np.negative(arr, out=arr)
     arr.sort(axis=-1)
-    acc = np.vecdot(arr, np.negative(_step_weights(arr.shape[-1], lp)))
+    acc = _weighted_row_sums(arr, np.negative(_step_weights(arr.shape[-1], lp)))
     return acc ** (1.0 / lp.tau)
 
 

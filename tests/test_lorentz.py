@@ -1,6 +1,10 @@
 """Rearrangement and two-index norm on sampled grids."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,35 @@ def test_batch_norms_leave_input_unchanged():
     before = rows.copy()
     batch_norms(rows, LorentzParams(3.0, 1.5))
     assert rows.tobytes() == before.tobytes()
+    rearranged = np.ascontiguousarray(np.sort(np.abs(rows), axis=-1)[:, ::-1])
+    before = rearranged.copy()
+    lorentz_norm_sorted(rearranged, LorentzParams(3.0, 1.5))
+    assert rearranged.tobytes() == before.tobytes()
+
+
+BLAS_THREADS_SCRIPT = """
+import numpy as np
+from mixsmooth.core import LorentzParams
+from mixsmooth.lorentz import batch_norms
+rows = np.random.default_rng(0).standard_normal((3, 65536))
+print(batch_norms(rows, LorentzParams(3.0, 1.5)).tobytes().hex())
+"""
+
+
+def test_batch_norms_do_not_depend_on_blas_threads():
+    # OpenBLAS splits dot products of rows above 10,000 points across its
+    # threads; the row sums must not go through it
+    src = str(Path(lorentz.__file__).resolve().parent.parent)
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        out.append(run.stdout)
+    assert out[0] == out[1]
 
 
 def test_lorentz_norm_accepts_polynomials_and_samples():
