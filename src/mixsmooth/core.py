@@ -426,8 +426,7 @@ def _ifft_box(coeff_batch: np.ndarray, degree, shape, real: bool = False) -> np.
 
     The inverse FFT runs unscaled (norm="forward"), so each row is the plain
     sum sum_k a_k exp(i <k, y>) at the grid points, with no 1/prod N factor
-    to undo.  On power-of-two grids this gives the same bits as scaling the
-    default transform back by prod N, since both scalings are exact there.
+    to undo.
 
     With real=True every row must be Hermitian: only the last-axis
     frequencies 0..n_m are scattered, into a (n_m + 1)-wide half spectrum,

@@ -12,9 +12,9 @@ plain discrete L_p norm.
 
 Batches of sample rows (batch_norms, multiplier_norms) are reduced in one
 float64 buffer per chunk: the samples' absolute values are powered, negated
-and sorted in place, which gives the same bits as sorting first.  Every row
-sum is numpy's pairwise sum of that row alone, so a norm has the same bits
-in any batch, chunking or BLAS thread count.
+and sorted in place.  Every row sum is numpy's pairwise sum of that row
+alone, so a norm has the same bits in any batch, chunking or BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -136,11 +136,11 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
 
     The whole reduction runs in the one float64 copy that np.abs makes, so
     values is left as it was: |x| -> |x|^tau -> -|x|^tau -> ascending sort ->
-    row sums of the products with the negated step weights.  Powering before sorting keeps the
-    order because x -> x^tau is increasing; negation is exact, so the
-    ascending sort of -|x|^tau is the non-increasing rearrangement of
-    |x|^tau negated, and (-a)(-w) = a w makes every product and partial sum
-    equal those of lorentz_norm_sorted on the rearranged rows.
+    row sums of the products with the negated step weights.  Powering before
+    sorting keeps the order because x -> x^tau is increasing; negation is
+    exact, so the ascending sort of -|x|^tau is the non-increasing
+    rearrangement of |x|^tau negated, and (-a)(-w) = a w makes every product
+    and partial sum equal those of lorentz_norm_sorted on the rearranged rows.
     """
     arr = np.abs(np.asarray(values, dtype=np.float64))
     np.power(arr, lp.tau, out=arr)
