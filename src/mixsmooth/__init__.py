@@ -21,13 +21,10 @@ from .core import (
     validate_params,
 )
 from .lorentz import (
-    GridSample,
-    Rearrangement,
     batch_norms,
     lorentz_norm,
     norm_with_refinement,
     poly_norm,
-    rearrange,
 )
 from .spectral import (
     BlockDecomposition,

@@ -161,7 +161,7 @@ def cmd_norm(args) -> int:
     else:
         sp = SmoothParams(args.theta, _float_list(args.b, f.dim, "b"), _int_list(args.k, f.dim, "k"))
         _require_ring(f, args.kind)
-        base = default_grid_shape(f.dim, max(f.degree))
+        base = default_grid_shape(f.dim, f.degree)
         fine = tuple(2 * n for n in base)
         if args.kind == "seqB":
             coarse = seq_norm_B(f, lp, sp, shape=base)

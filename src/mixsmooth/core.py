@@ -369,22 +369,22 @@ def tensor(*factors: TrigPoly) -> TrigPoly:
     return TrigPoly(dim, degree, coeffs, real=real if real else None, allow_large=True)
 
 
+def _pow2_grid(degree, floor: int) -> tuple[int, ...]:
+    """The one grid rule: per axis, the smallest power of two >= max(floor, 2 n_j + 1).
+
+    2 n_j + 1 points make the sampling alias-free; powers of two are the
+    fastest FFT sizes.
+    """
+    return tuple(1 << (max(floor, 2 * int(n) + 1) - 1).bit_length() for n in degree)
+
+
 def default_grid_shape(dim: int, degree) -> tuple[int, ...]:
     """Default sampling resolution per axis.
 
-    1024 points for one axis, 256 for two, 64 for three or more; bumped to
-    the next power of two whenever the alias-free bound 2 n_j + 1 demands it.
+    The grid rule of _pow2_grid, with a floor of 1024 points for one axis,
+    256 for two and 64 for three or more.
     """
-    degree = _as_int_tuple(degree, dim, "degree")
-    base = {1: 1024, 2: 256}.get(dim, 64)
-    out = []
-    for n in degree:
-        need = 2 * n + 1
-        size = base
-        while size < need:
-            size *= 2
-        out.append(size)
-    return tuple(out)
+    return _pow2_grid(_as_int_tuple(degree, dim, "degree"), {1: 1024, 2: 256}.get(dim, 64))
 
 
 def axis_product(factors) -> np.ndarray:

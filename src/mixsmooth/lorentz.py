@@ -10,16 +10,19 @@ with f* the absolute values sorted in non-increasing order, so no quadrature
 is involved.  At tau = p the bracket telescopes to 1/M and the value is the
 plain discrete L_p norm.
 
-Batches of sample rows (batch_norms, multiplier_norms) are reduced in one
-float64 buffer per chunk: the samples' absolute values are powered, negated
-and sorted in place.  Every row sum is numpy's pairwise sum of that row
-alone, so a norm has the same bits in any batch, chunking or BLAS thread
-count.
+Every norm goes through one pipeline.  Coefficient tensors are sampled by
+evaluate_coeff_batch: a single polynomial as a one-row batch, a stack of
+tensor-multiplier images of one polynomial (multiplier_norms, and the square
+functions of spectral.tail_square_norms) by one chunk loop that bounds the
+samples held at once.  batch_norms reduces the rows in one float64 buffer
+per chunk: the samples' absolute values are powered, negated and sorted in
+place.  Every row sum is numpy's pairwise sum of that row alone, so a norm
+has the same bits alone as in any batch, chunking or BLAS thread count.
+lorentz_norm_sorted is the closed form above on pre-sorted rows, kept as the
+reference the tests compare with.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +30,13 @@ from .core import (
     InvalidParams,
     LorentzParams,
     TrigPoly,
+    _as_int_tuple,
     axis_product,
     default_grid_shape,
     evaluate_coeff_batch,
-    evaluate_on_grid,
 )
 
 __all__ = [
-    "GridSample",
-    "Rearrangement",
-    "rearrange",
     "lorentz_norm",
     "lorentz_norm_sorted",
     "batch_norms",
@@ -51,55 +51,6 @@ __all__ = [
 # (n_m + 1)-wide complex half spectrum.  The abs, power and sort steps share
 # one float64 copy.  Twice the rows per chunk ran verify slower, not faster.
 _CHUNK_BYTES = 4_000_000
-
-
-@dataclass(frozen=True)
-class GridSample:
-    """Samples of a function on the uniform unit-cube grid.
-
-    values holds signed real samples (real polynomials) or magnitudes
-    (anything else); the Lorentz norm only ever sees absolute values, so
-    callers never pre-abs.
-    """
-
-    values: np.ndarray
-
-    @classmethod
-    def from_poly(cls, f: TrigPoly, shape=None) -> "GridSample":
-        values = evaluate_on_grid(f, shape)
-        if np.iscomplexobj(values):
-            values = np.abs(values)
-        return cls(values=values)
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def cell_measure(self) -> float:
-        return 1.0 / self.size
-
-
-@dataclass(frozen=True)
-class Rearrangement:
-    """Non-increasing rearrangement of |samples| with its cell measure."""
-
-    sorted_values: np.ndarray
-    cell_measure: float
-
-
-def rearrange(sample) -> Rearrangement:
-    """Sort |values| in non-increasing order.
-
-    Accepts a GridSample or a bare array.  The result is invariant under any
-    permutation of the input, bit for bit: equal multisets sort identically.
-    """
-    values = sample.values if isinstance(sample, GridSample) else np.asarray(sample)
-    flat = np.abs(values).ravel()
-    if flat.size == 0:
-        raise InvalidParams("cannot rearrange an empty sample set")
-    out = np.sort(flat)[::-1].copy()
-    return Rearrangement(sorted_values=out, cell_measure=1.0 / flat.size)
 
 
 def _step_weights(size: int, lp: LorentzParams) -> np.ndarray:
@@ -119,12 +70,13 @@ def _weighted_row_sums(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def lorentz_norm_sorted(sorted_values: np.ndarray, lp: LorentzParams) -> np.ndarray:
-    """Norms from already-sorted magnitudes; batch-aware over leading axes.
+    """Reference formula: norms from already-sorted magnitudes, batch-aware.
 
-    sorted_values may be (M,) or (..., M) with each row non-increasing.
-    A row's norm does not depend on the batch it sits in or on the BLAS
-    thread count, bit for bit: the power runs on contiguous rows and each
-    row is summed on its own by _weighted_row_sums.
+    sorted_values may be (M,) or (..., M) with each row non-increasing.  The
+    package reduces through batch_norms; this is the closed form the tests
+    compare it with.  It equals batch_norms bit for bit on (B, M) input; on
+    (M,) input the final 1/tau power is taken on a numpy scalar, which can
+    differ in the last bit.
     """
     arr = np.ascontiguousarray(sorted_values, dtype=np.float64) ** lp.tau
     acc = _weighted_row_sums(arr, _step_weights(arr.shape[-1], lp))
@@ -141,8 +93,9 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
     exact, so the ascending sort of -|x|^tau is the non-increasing
     rearrangement of |x|^tau negated, and (-a)(-w) = a w makes every product
     and partial sum equal those of lorentz_norm_sorted on the rearranged rows.
+    Rows may be real or complex.
     """
-    arr = np.abs(np.asarray(values, dtype=np.float64))
+    arr = np.abs(values).astype(np.float64, copy=False)
     np.power(arr, lp.tau, out=arr)
     np.negative(arr, out=arr)
     arr.sort(axis=-1)
@@ -150,41 +103,58 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
     return acc ** (1.0 / lp.tau)
 
 
-def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.ndarray:
-    """Lorentz norms of a stack of tensor-multiplier images of f, shape (B,).
+def _sample_chunks(f: TrigPoly, factors, shape=None):
+    """Samples of a stack of tensor-multiplier images of f, one chunk at a time.
 
     factors holds one entry per axis: a 1-D factor shared by every row, or a
-    (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b];
-    the rows are evaluated on `shape` in chunks that bound the FFT memory.
+    (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b].
+    Yields (rows, values): a slice of row indices and the magnitudes of those
+    rows on `shape`, shape (len(rows), prod N), from one evaluate_coeff_batch
+    call of at most _CHUNK_BYTES.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
     factors = [np.atleast_2d(fac) for fac in factors]
-    (rows,) = np.broadcast_shapes(*(fac.shape[:-1] for fac in factors))
-    factors = [np.broadcast_to(fac, (rows, fac.shape[-1])) for fac in factors]
+    (count,) = np.broadcast_shapes(*(fac.shape[:-1] for fac in factors))
+    factors = [np.broadcast_to(fac, (count, fac.shape[-1])) for fac in factors]
     chunk = max(1, _CHUNK_BYTES // (16 * int(np.prod(shape))))
-    out = np.empty(rows, dtype=np.float64)
-    for start in range(0, rows, chunk):
-        stop = min(rows, start + chunk)
-        batch = f.coeffs * axis_product([fac[start:stop] for fac in factors])
-        values = evaluate_coeff_batch(f.degree, batch, shape)
-        out[start:stop] = batch_norms(values, lp)
-    return out
+    for start in range(0, count, chunk):
+        rows = slice(start, min(count, start + chunk))
+        batch = f.coeffs * axis_product([fac[rows] for fac in factors])
+        yield rows, evaluate_coeff_batch(f.degree, batch, shape)
+
+
+def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.ndarray:
+    """Lorentz norms of a stack of tensor-multiplier images of f, shape (B,).
+
+    factors is as in _sample_chunks; each chunk of rows is reduced by
+    batch_norms as soon as it is sampled.
+    """
+    norms = [batch_norms(values, lp) for _, values in _sample_chunks(f, factors, shape)]
+    return np.concatenate(norms) if norms else np.empty(0)
 
 
 def lorentz_norm(obj, lp: LorentzParams, shape=None) -> float:
-    """Lorentz (p, tau) norm of a polynomial, sample set, or rearrangement.
+    """Lorentz (p, tau) norm of a polynomial or of an array of samples.
 
-    TrigPoly inputs are sampled on `shape` (default: the per-dim resolution
-    from default_grid_shape, never below the alias-free bound).
+    A TrigPoly is sampled on `shape` (default: default_grid_shape, never
+    below the alias-free bound) as a one-row evaluate_coeff_batch; an array
+    of real or complex samples is taken as one row.  Either way batch_norms
+    reduces the row, so a polynomial's norm has the same bits alone as in
+    any batch.
     """
     if isinstance(obj, TrigPoly):
-        obj = GridSample.from_poly(obj, shape)
-    if isinstance(obj, GridSample) or isinstance(obj, np.ndarray):
-        obj = rearrange(obj)
-    if not isinstance(obj, Rearrangement):
+        if shape is None:
+            shape = default_grid_shape(obj.dim, obj.degree)
+        shape = _as_int_tuple(shape, obj.dim, "shape")
+        values = evaluate_coeff_batch(obj.degree, obj.coeffs[None], shape)
+    elif isinstance(obj, np.ndarray):
+        values = obj.reshape(1, -1)
+    else:
         raise InvalidParams(f"cannot take a Lorentz norm of {type(obj).__name__}")
-    return float(lorentz_norm_sorted(obj.sorted_values, lp))
+    if values.size == 0:
+        raise InvalidParams("cannot take a Lorentz norm of an empty sample set")
+    return float(batch_norms(values, lp)[0])
 
 
 def poly_norm(f: TrigPoly, lp: LorentzParams, shape=None) -> float:
@@ -201,10 +171,7 @@ def norm_with_refinement(f: TrigPoly, lp: LorentzParams, shape=None) -> tuple[fl
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
-    elif np.isscalar(shape):
-        shape = (int(shape),) * f.dim
-    else:
-        shape = tuple(int(s) for s in shape)
+    shape = _as_int_tuple(shape, f.dim, "shape")
     coarse = lorentz_norm(f, lp, shape)
     fine = lorentz_norm(f, lp, tuple(2 * s for s in shape))
     if fine == 0.0:

@@ -38,7 +38,6 @@ from .core import (
     SmoothParams,
     TrigPoly,
     axis_product,
-    default_grid_shape,
 )
 from .lorentz import multiplier_norms, poly_norm
 
@@ -209,8 +208,6 @@ def modulus_grid(
     by axis.
     """
     k = _order_tuple(k, f.dim)
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
     if np.isscalar(nu_max):
         nu_max = (int(nu_max),) * f.dim
     nu_max = tuple(int(v) for v in nu_max)
@@ -321,8 +318,6 @@ def log_modulus_seminorm(
     """
     if sp.dim != f.dim:
         raise InvalidParams(f"smoothness bundle has {sp.dim} axes, function has {f.dim}")
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
     deriv_norm = poly_norm(derivative(f, sp.k), lp, shape)
     auto = nu_max is None
     if auto:

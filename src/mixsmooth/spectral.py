@@ -23,9 +23,8 @@ from .core import (
     TrigPoly,
     axis_product,
     default_grid_shape,
-    evaluate_coeff_batch,
 )
-from .lorentz import batch_norms, multiplier_norms
+from .lorentz import _sample_chunks, batch_norms, multiplier_norms
 
 __all__ = [
     "BlockIndex",
@@ -232,8 +231,9 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
 
         || ( sum_{s_j >= nu_j for all j} |delta_s(f)(x)|^2 )^(1/2) ||_{p,tau}
 
-    for nu_j in 1..smax_j.  Every nonzero block is evaluated once; the tails
-    are suffix sums of the squared block samples over the block lattice.
+    for nu_j in 1..smax_j.  Every nonzero block is evaluated once, in the
+    chunks of lorentz._sample_chunks, and squared into the block lattice; the
+    tails are suffix sums of those squares over the lattice.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
@@ -241,10 +241,10 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
     if any(v == 0 for v in smax):
         raise InvalidParams("tail norms need a nonzero spectrum on every axis")
     pos, masks = _nonzero_rows(f, _block_tables(f))
-    values = evaluate_coeff_batch(f.degree, f.coeffs * axis_product(masks), shape)
     # empty blocks sample to exact zeros, so only nonzero ones are evaluated
-    squares = np.zeros(smax + (values.shape[-1],), dtype=np.float64)
-    squares[tuple(pos.T)] = values**2
+    squares = np.zeros(smax + (int(np.prod(shape)),), dtype=np.float64)
+    for rows, values in _sample_chunks(f, masks, shape):
+        squares[tuple(pos[rows].T)] = np.square(values, out=values)
     for axis in range(len(smax)):
         squares = np.flip(np.cumsum(np.flip(squares, axis=axis), axis=axis), axis=axis)
     flat = np.sqrt(squares.reshape(-1, squares.shape[-1]))

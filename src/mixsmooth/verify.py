@@ -31,6 +31,7 @@ from .core import (
     LorentzParams,
     SmoothParams,
     TrigPoly,
+    _pow2_grid,
     cosine,
     tensor,
     validate_params,
@@ -368,15 +369,8 @@ class RatioReport:
 # workspace: per-corpus caches so each quantity is computed once
 
 
-def _pow2_shape(f: TrigPoly) -> tuple[int, ...]:
-    """Smallest power-of-two alias-free grid for f (at least 16 per axis)."""
-    out = []
-    for n in f.degree:
-        size = 16
-        while size < 2 * n + 1:
-            size *= 2
-        out.append(size)
-    return tuple(out)
+# Grid floor of Workspace shapes: the golden windows were frozen at it.
+_GRID_FLOOR = 16
 
 
 class Workspace:
@@ -397,7 +391,7 @@ class Workspace:
 
     def shape(self, fid: str) -> tuple[int, ...]:
         key = ("shape", fid)
-        return self._get(key, lambda: _pow2_shape(self.poly(fid)))
+        return self._get(key, lambda: _pow2_grid(self.poly(fid).degree, _GRID_FLOOR))
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -565,16 +559,15 @@ def _check_lemma1_subadd(corpus, lp, sp, cfg, ws: Workspace):
         f, g = cf.poly, cg.poly
         if f.dim != g.dim:
             continue
-        total = f + g
+        polys = (f + g, f, g)
+        shapes = [_pow2_grid(q.degree, _GRID_FLOOR) for q in polys]
         for t in (0.75, 0.2):
             h_list = _lattice_points([np.linspace(0.0, t, cfg.h_grid)] * f.dim)
-            lhs = float(
-                np.max(difference_norms(total, h_list, sp.k, lp, _pow2_shape(total)))
+            lhs, rf, rg = (
+                float(np.max(difference_norms(q, h_list, sp.k, lp, shape)))
+                for q, shape in zip(polys, shapes)
             )
-            rhs = float(
-                np.max(difference_norms(f, h_list, sp.k, lp, _pow2_shape(f)))
-            ) + float(np.max(difference_norms(g, h_list, sp.k, lp, _pow2_shape(g))))
-            rows.append(RatioRow(f"{cf.fid}+{cg.fid}@t={t}", lhs, rhs))
+            rows.append(RatioRow(f"{cf.fid}+{cg.fid}@t={t}", lhs, rf + rg))
     return rows, {}
 
 

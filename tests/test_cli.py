@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixsmooth import cli
 from mixsmooth.cli import build_parser, main, parse_function
 
 DATA = Path(__file__).parent / "data"
@@ -80,6 +81,19 @@ def test_norm_seqB_zero(capsys):
     code, out, _ = run_cli(["norm", "--kind", "seqB", "--fn", "zero", "--b", "0.5"], capsys)
     assert code == 0
     assert float(out.splitlines()[0].split("=")[1]) == 0.0
+
+
+def test_norm_seqB_sizes_each_axis_by_its_own_degree(capsys, monkeypatch):
+    shapes = []
+
+    def recording(f, lp, sp, shape):
+        shapes.append(shape)
+        return 1.0
+
+    monkeypatch.setattr(cli, "seq_norm_B", recording)
+    code, _, _ = run_cli(["norm", "--kind", "seqB", "--fn", "prod(cos:2,cos:128)"], capsys)
+    assert code == 0
+    assert shapes == [(256, 512), (512, 1024)]
 
 
 def test_norm_json_record(tmp_path, capsys):

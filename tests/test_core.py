@@ -17,6 +17,7 @@ from mixsmooth.core import (
     SmoothParams,
     TrigPoly,
     _ifft_box,
+    _pow2_grid,
     axis_product,
     cosine,
     default_grid_shape,
@@ -386,6 +387,14 @@ def test_default_grid_shape_is_alias_free_power_of_two():
             for n in shape:
                 assert n >= 2 * degree + 1
                 assert n & (n - 1) == 0
+
+
+def test_grid_rule_floors():
+    # one rule: smallest power of two >= max(floor, 2 n_j + 1) per axis
+    assert _pow2_grid((0, 7, 8, 500), 16) == (16, 16, 32, 1024)
+    assert default_grid_shape(1, 600) == (2048,)
+    assert default_grid_shape(2, (3, 200)) == (256, 512)
+    assert default_grid_shape(3, (0, 31, 32)) == (64, 64, 128)
 
 
 def test_cosine_values():

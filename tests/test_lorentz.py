@@ -1,4 +1,4 @@
-"""Rearrangement and two-index norm on sampled grids."""
+"""Two-index norm of sampled grids and of polynomials, single and batched."""
 
 import math
 import os
@@ -12,17 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsmooth import lorentz
-from mixsmooth.core import LorentzParams, TrigPoly, axis_product, cosine, tensor
+from mixsmooth.core import (
+    InvalidParams,
+    LorentzParams,
+    TrigPoly,
+    axis_product,
+    cosine,
+    evaluate_coeff_batch,
+    evaluate_on_grid,
+    tensor,
+)
 from mixsmooth.lorentz import (
-    GridSample,
     batch_norms,
     lorentz_norm,
     lorentz_norm_sorted,
     multiplier_norms,
     norm_with_refinement,
     poly_norm,
-    rearrange,
 )
+from mixsmooth.smoothness import derivative
+from mixsmooth.verify import generate_corpus
 
 from test_core import random_poly, record_paths
 
@@ -64,20 +73,67 @@ def lp_quadrature(values, p):
 # --- rearrangement ---------------------------------------------------------------
 
 
-def test_rearrangement_matches_insertion_sort():
+def test_norm_of_samples_equals_reference_on_insertion_sort():
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(40)
-    r = rearrange(GridSample(np.abs(vals)))
-    assert list(r.sorted_values) == insertion_sort_desc(np.abs(vals))
+    for p, tau in [(3.0, 1.5), (2.0, 2.0), (1.5, 4.0)]:
+        lp = LorentzParams(p, tau)
+        # one-row input: lorentz_norm_sorted takes the final power on an
+        # array, as batch_norms does
+        want = lorentz_norm_sorted(np.array([insertion_sort_desc(np.abs(vals))]), lp)[0]
+        assert lorentz_norm(vals, lp) == want
 
 
-def test_rearrangement_is_permutation_invariant_bitwise():
+def test_norm_of_samples_is_permutation_invariant_bitwise():
     rng = np.random.default_rng(6)
-    vals = np.abs(rng.standard_normal(64))
+    vals = rng.standard_normal(64)
     perm = rng.permutation(64)
-    a = rearrange(GridSample(vals))
-    b = rearrange(GridSample(vals[perm]))
-    assert np.array_equal(a.sorted_values, b.sorted_values)
+    lp = LorentzParams(3.0, 1.5)
+    assert lorentz_norm(vals, lp) == lorentz_norm(vals[perm], lp)
+    assert lorentz_norm(vals.reshape(8, 8), lp) == lorentz_norm(vals, lp)
+
+
+def test_norm_rejects_empty_samples_and_other_types():
+    lp = LorentzParams(2.0, 2.0)
+    with pytest.raises(InvalidParams):
+        lorentz_norm(np.array([]), lp)
+    with pytest.raises(InvalidParams):
+        lorentz_norm(np.zeros((3, 0)), lp)
+    with pytest.raises(InvalidParams):
+        lorentz_norm([1.0, 2.0], lp)
+
+
+def test_norm_of_complex_samples_uses_their_moduli():
+    f = TrigPoly.from_entries(2, (2, 1), [((1, 1), 1.0), ((-2, 0), 0.5j)])
+    assert not f.real
+    lp = LorentzParams(3.0, 1.5)
+    samples = evaluate_on_grid(f, (8, 4))
+    assert np.iscomplexobj(samples)
+    assert lorentz_norm(samples, lp) == lorentz_norm(np.abs(samples), lp)
+    assert lorentz_norm(samples, lp) == pytest.approx(poly_norm(f, lp, (8, 4)), rel=1e-13)
+
+
+def test_polynomial_norm_equals_its_row_in_a_batch_bitwise():
+    # the final 1/tau power of a single norm is taken on an array, as in a
+    # batch; on a numpy scalar it differs in the last bit on some inputs,
+    # e.g. the first case here
+    lp = LorentzParams(3.0, 1.5)
+    tensor1 = [cf.poly for cf in generate_corpus(7, 2, 8) if cf.fid == "tensor/1"][0]
+    rng = np.random.default_rng(14)
+    cases = [
+        (tensor1, (16, 32)),
+        (random_poly(rng, 2, 3), (16, 16)),
+        (random_poly(rng, 2, 3, real=False), (16, 8)),
+        (cosine(5), (64,)),
+    ]
+    for f, shape in cases:
+        alphas = [(1,) * f.dim, (0,) * f.dim, (2,) * f.dim, (1,) + (0,) * (f.dim - 1)]
+        members = [derivative(f, a) for a in alphas]
+        batch = np.stack([g.coeffs for g in members])
+        norms = batch_norms(evaluate_coeff_batch(f.degree, batch, shape), lp)
+        for g, want in zip(members, norms):
+            assert lorentz_norm(g, lp, shape) == want
+            assert poly_norm(g, lp, shape) == want
 
 
 # --- norm: closed forms and oracle agreement ----------------------------------

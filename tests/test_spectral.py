@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixsmooth import lorentz
 from mixsmooth.core import InvalidParams, LorentzParams, TrigPoly, cosine, tensor
 from mixsmooth.lorentz import poly_norm
 from mixsmooth.spectral import (
@@ -24,6 +25,7 @@ from mixsmooth.spectral import (
 )
 
 from test_core import random_poly
+from test_lorentz import record_samples
 
 L2 = LorentzParams(2.0, 2.0)
 
@@ -191,6 +193,23 @@ def test_tail_square_norms_2d_shape():
     t = tail_square_norms(f, L2)
     assert t.shape == (2, 3)  # block indices run to bit_length of each degree
     assert t[0, 0] == pytest.approx(0.5, rel=1e-10)
+
+
+def test_tail_square_norms_chunking_keeps_norms_bitwise(monkeypatch):
+    f = ring_poly(np.random.default_rng(41), 2, 7)
+    lp = LorentzParams(3.0, 1.5)
+    shape = (16, 16)
+    blocks = len(decompose(f).blocks)
+    samples = record_samples(monkeypatch)
+    whole = tail_square_norms(f, lp, shape)
+    assert [len(s) for s in samples] == [blocks]
+    chunk = 4  # rows per evaluate_coeff_batch call
+    monkeypatch.setattr(lorentz, "_CHUNK_BYTES", chunk * 16 * 16 * 16)
+    chunked = tail_square_norms(f, lp, shape)
+    sizes = [len(s) for s in samples[1:]]
+    assert len(sizes) >= 3 and max(sizes) <= chunk and sum(sizes) == blocks
+    assert np.array_equal(np.concatenate(samples[1:]), samples[0])
+    assert np.array_equal(chunked, whole)
 
 
 def test_tail_rejects_empty_axis():
