@@ -526,23 +526,26 @@ def _dyadic_cutoff_levels(dim: int, max_degree: int) -> list[tuple[float, ...]]:
 def _check_lemma1_monotone(corpus, lp, sp, cfg, ws: Workspace):
     rows = []
     for cf in corpus:
-        grid = ws.mod_grid(cf.fid, lp, sp.k)
-        vals = grid.values
-        best = None  # (ratio, finer, coarser) with the largest finer/coarser
-        for axis in range(vals.ndim):
-            finer = np.take(vals, range(1, vals.shape[axis]), axis=axis).ravel()
-            coarser = np.take(vals, range(0, vals.shape[axis] - 1), axis=axis).ravel()
-            ok = coarser > 0
-            if not np.any(ok):
-                continue
-            r = finer[ok] / coarser[ok]
-            i = int(np.argmax(r))
-            if best is None or r[i] > best[0]:
-                best = (float(r[i]), float(finer[ok][i]), float(coarser[ok][i]))
-        if best is None:
+        vals = ws.mod_grid(cf.fid, lp, sp.k).values
+        pairs = [
+            (np.take(vals, range(1, n), axis=axis).ravel(),
+             np.take(vals, range(0, n - 1), axis=axis).ravel())
+            for axis, n in enumerate(vals.shape)
+        ]
+        finer = np.concatenate([fine for fine, _ in pairs])
+        coarser = np.concatenate([coarse for _, coarse in pairs])
+        ok = coarser > 0
+        if not np.any(ok):
             rows.append(RatioRow(cf.fid, 0.0, 0.0))
-        else:
-            rows.append(RatioRow(cf.fid, best[1], best[2]))
+            continue
+        finer, coarser = finer[ok], coarser[ok]
+        r = finer / coarser
+        # Cells whose ratios tie in exact arithmetic differ in the last bits,
+        # so the witness is the first cell in scan order within 4 ulp of the
+        # maximum: a last-bit change to any norm leaves it in place.
+        top = r.max()
+        i = int(np.argmax(r >= top - 4 * np.spacing(top)))
+        rows.append(RatioRow(cf.fid, float(finer[i]), float(coarser[i])))
     return rows, {}
 
 

@@ -1,5 +1,6 @@
 """Harness internals: corpus, ratio bookkeeping, verdicts, reproducibility."""
 
+import dataclasses
 import json
 import math
 
@@ -15,6 +16,7 @@ from mixsmooth.verify import (
     UnknownCheck,
     VerifyConfig,
     Workspace,
+    _check_lemma1_monotone,
     _row_stats,
     check_sided,
     default_threads,
@@ -212,3 +214,54 @@ def test_golden_windows_cover_all_checks():
         for dim in ("1", "2"):
             lo, hi = windows[name][dim]
             assert 0.0 <= lo < hi
+
+
+def test_lemma1_monotone_witness_is_tie_stable():
+    # At m=2 the cells of lacunary/0 have finer/coarser ratios that tie in
+    # exact arithmetic and differ only in their last bits.  Moving any grid
+    # entry of a tied cell by 1 ulp must leave the reported witness in place,
+    # although it moves the plain argmax of the ratios.
+    corpus = generate_corpus(seed=7, dim=2, max_degree=8)
+    cf = next(c for c in corpus if c.fid == "lacunary/0")
+    lp, sp = LorentzParams(3.0, 3.0), SmoothParams(1.0, (0.0, 0.0))
+    cfg = VerifyConfig(stability=False)
+    grid = Workspace(corpus, cfg).mod_grid(cf.fid, lp, sp.k)
+    shape = grid.values.shape
+
+    class OneGrid:
+        values = grid.values
+
+        def mod_grid(self, fid, lp, k):
+            return dataclasses.replace(grid, values=self.values)
+
+    ws = OneGrid()
+    (want,), _ = _check_lemma1_monotone([cf], lp, sp, cfg, ws)
+
+    # flat entry indices of every (finer, coarser) cell in scan order
+    idx = np.arange(grid.values.size).reshape(shape)
+    finer = np.concatenate([np.take(idx, range(1, n), axis=a).ravel() for a, n in enumerate(shape)])
+    coarser = np.concatenate(
+        [np.take(idx, range(0, n - 1), axis=a).ravel() for a, n in enumerate(shape)]
+    )
+
+    def ratios(vals):
+        flat = vals.ravel()
+        return flat[finer] / flat[coarser]
+
+    r = ratios(grid.values)
+    tied = np.nonzero(r >= r.max() - 4 * np.spacing(r.max()))[0]
+    assert len(tied) >= 10
+    witness = {finer[tied[0]], coarser[tied[0]]}
+    assert grid.values.ravel()[finer[tied[0]]] == want.lhs
+    moved = 0
+    for cell in tied[1:]:
+        for entry, toward in ((finer[cell], np.inf), (coarser[cell], 0.0)):
+            if entry in witness:
+                continue
+            vals = grid.values.copy().ravel()
+            vals[entry] = np.nextafter(vals[entry], toward)
+            ws.values = vals.reshape(shape)
+            (got,), _ = _check_lemma1_monotone([cf], lp, sp, cfg, ws)
+            assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+            moved += int(np.argmax(ratios(ws.values))) != int(np.argmax(r))
+    assert moved > 0
