@@ -106,11 +106,10 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
 def _sample_chunks(f: TrigPoly, factors, shape=None):
     """Samples of a stack of tensor-multiplier images of f, one chunk at a time.
 
-    factors holds one entry per axis: a 1-D factor shared by every row, or a
-    (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b].
-    Yields (rows, values): a slice of row indices and the magnitudes of those
-    rows on `shape`, shape (len(rows), prod N), from one evaluate_coeff_batch
-    call of at most _CHUNK_BYTES.
+    factors is as in multiplier_norms.  Yields (rows, values): a slice of row
+    indices and the magnitudes of those rows on `shape`, shape
+    (len(rows), prod N), from one evaluate_coeff_batch call of at most
+    _CHUNK_BYTES.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
@@ -127,8 +126,10 @@ def _sample_chunks(f: TrigPoly, factors, shape=None):
 def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.ndarray:
     """Lorentz norms of a stack of tensor-multiplier images of f, shape (B,).
 
-    factors is as in _sample_chunks; each chunk of rows is reduced by
-    batch_norms as soon as it is sampled.
+    factors holds one entry per axis: a 1-D factor shared by every row, or a
+    (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b];
+    the rows are sampled on `shape` in chunks that bound the FFT memory, and
+    each chunk is reduced by batch_norms as soon as it is sampled.
     """
     norms = [batch_norms(values, lp) for _, values in _sample_chunks(f, factors, shape)]
     return np.concatenate(norms) if norms else np.empty(0)

@@ -73,7 +73,7 @@ def lp_quadrature(values, p):
 # --- rearrangement ---------------------------------------------------------------
 
 
-def test_norm_of_samples_equals_reference_on_insertion_sort():
+def test_rearrangement_matches_insertion_sort():
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(40)
     for p, tau in [(3.0, 1.5), (2.0, 2.0), (1.5, 4.0)]:
@@ -84,7 +84,7 @@ def test_norm_of_samples_equals_reference_on_insertion_sort():
         assert lorentz_norm(vals, lp) == want
 
 
-def test_norm_of_samples_is_permutation_invariant_bitwise():
+def test_rearrangement_is_permutation_invariant_bitwise():
     rng = np.random.default_rng(6)
     vals = rng.standard_normal(64)
     perm = rng.permutation(64)
