@@ -64,7 +64,6 @@ from .approx import (
 from .seqnorms import (
     ConditionReport,
     EmbeddingExponents,
-    Inconclusive,
     UncoveredParams,
     embedding_exponents,
     norm_bold_B,

@@ -6,8 +6,9 @@ polynomial weights prod (s_j + 1)^(b_j) through a common theta-sum
 
     {sum w_s^theta x_s^theta}^(1/theta)        (theta = inf: sup of w_s x_s).
 
-The embedding exponent table and the numeric convergence certificate for the
-comparison sums of the embedding theorems live here as well.
+The embedding exponent table and the exact convergence test for the comparison
+sums of the embedding theorems (every axis exponent plus the coupling exponent
+below -1, or below 0 in dyadic form) live here as well.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "Inconclusive",
     "UncoveredParams",
     "EmbeddingExponents",
     "ConditionReport",
@@ -50,10 +50,6 @@ __all__ = [
     "embedding_exponents",
     "theorem5_condition",
 ]
-
-
-class Inconclusive(ArithmeticError):
-    """The truncated comparison sum cannot certify convergence or divergence."""
 
 
 class UncoveredParams(ValueError):
@@ -93,7 +89,11 @@ def seq_norm_B(
         r_weights = tuple(float(v) for v in r_weights)
         if len(r_weights) != f.dim:
             raise InvalidParams(f"r_weights {r_weights} does not match dim {f.dim}")
-    norms = block_norms(f, lp, shape)
+    return _weighted_block_sum(block_norms(f, lp, shape), sp, r_weights)
+
+
+def _weighted_block_sum(norms: dict, sp: SmoothParams, r_weights=None) -> float:
+    # theta-sum of a {block index: block norm} dict under the seq_norm_B weights
     weighted = [
         _block_weight(s, sp, r_weights) * val for s, val in sorted(norms.items())
     ]
@@ -239,22 +239,14 @@ def embedding_exponents(lp: LorentzParams, sp: SmoothParams) -> EmbeddingExponen
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Verdict of the numeric convergence certificate for a comparison sum."""
+    """Verdict of the exact exponent test for a comparison sum.
+
+    worst_exponent is max_j(A_j + B) for the power form, max_j(C_j + B) for
+    the dyadic form: the sum converges iff it lies below -1, respectively 0.
+    """
 
     converges: bool
-    partial_sum: float
-    tail_estimate: float
-    last_ratio: float
-
-
-def _band_sums(terms: np.ndarray, coord_max: np.ndarray, edges: list[int]) -> list[float]:
-    sums = []
-    lo = 0
-    for hi in edges:
-        mask = (coord_max > lo) & (coord_max <= hi)
-        sums.append(float(np.sum(terms[mask])))
-        lo = hi
-    return sums
+    worst_exponent: float
 
 
 def theorem5_condition(
@@ -264,28 +256,26 @@ def theorem5_condition(
     tau2: float,
     theta1: float,
     theta2: float,
-    truncation: int | None = None,
+    *,
     dyadic: bool = False,
-    margin: float = 0.05,
 ) -> ConditionReport:
-    """Numeric convergence certificate for the embedding comparison sums.
+    """Exact convergence test for the embedding comparison sums.
 
-    Power form (default): terms prod_j s_j^((b2_j - b1_j) theta2 eta')
-    * (sum_j (s_j + 1))^((1/tau2 - 1/tau1) theta2 eta') over s in N^m, with
-    eta = theta1/theta2 and eta' its conjugate.  Dyadic form substitutes
-    2^(l_j) geometry: prod_j 2^(l_j (b2_j - b1_j - 1/theta1 + 1/theta2) theta2 eta')
-    * (sum_j 2^(l_j))^(same tau exponent) over l in Z_+^m.
+    Power form (default): terms prod_j s_j^(A_j) * (sum_j (s_j + 1))^B over
+    s in N^m, with A_j = (b2_j - b1_j) theta2 eta', B = (1/tau2 - 1/tau1)
+    theta2 eta', eta = theta1/theta2 and eta' its conjugate.  Dyadic form:
+    terms prod_j 2^(l_j C_j) * (sum_j 2^(l_j))^B over l in Z_+^m, with
+    C_j = (b2_j - b1_j - 1/theta1 + 1/theta2) theta2 eta'.
 
-    The box sum is split into geometric bands of the max coordinate; the
-    verdict comes from the last band ratios: certified convergent when they
-    sit below 1 - margin (tail extrapolated geometrically), divergent when at
-    or above 1, Inconclusive in between (a larger truncation may resolve it).
+    tau2 <= tau1 makes B >= 0, so up to constants the coupling factor is
+    max_j s_j^B (dyadic: max_j 2^(l_j B)): at least any one axis's factor, at
+    most the sum of them.  Summing axis by axis, the power form converges iff
+    every A_j + B < -1 and the dyadic form iff every C_j + B < 0.
     """
     b1 = tuple(float(v) for v in ((b1,) if np.isscalar(b1) else b1))
     b2 = tuple(float(v) for v in ((b2,) if np.isscalar(b2) else b2))
     if len(b1) != len(b2):
         raise InvalidParams("b1 and b2 must have the same number of axes")
-    dim = len(b1)
     if not (0 < theta2 < theta1):
         raise InvalidParams(f"need 0 < theta2 < theta1, got ({theta1}, {theta2})")
     if not (1.0 <= tau2 <= tau1):
@@ -296,68 +286,10 @@ def theorem5_condition(
         eta = theta1 / theta2
         eta_conj = eta / (eta - 1.0)
     scale = theta2 * eta_conj
-    a_exp = tuple((v2 - v1) * scale for v1, v2 in zip(b1, b2))
     b_exp = (1.0 / tau2 - 1.0 / tau1) * scale
+    shift, threshold = 0.0, -1.0
     if dyadic:
         inv_t1 = 0.0 if math.isinf(theta1) else 1.0 / theta1
-        a_exp = tuple((v2 - v1 - inv_t1 + 1.0 / theta2) * scale for v1, v2 in zip(b1, b2))
-    if truncation is None:
-        truncation = {1: 4096, 2: 512}.get(dim, 128) if not dyadic else {1: 64, 2: 48}.get(dim, 24)
-    truncation = int(truncation)
-    with np.errstate(over="ignore", divide="ignore"):
-        if dyadic:
-            axes = [np.arange(0, truncation + 1, dtype=np.float64)] * dim
-            grids = np.meshgrid(*axes, indexing="ij")
-            terms = np.ones(grids[0].shape)
-            coupling = np.zeros(grids[0].shape)
-            for g, aj in zip(grids, a_exp):
-                terms = terms * 2.0 ** (g * aj)
-                coupling = coupling + 2.0**g
-            terms = terms * coupling**b_exp
-            coord = np.maximum.reduce(grids) + 1.0
-            width = max(4, truncation // 8)
-            edges = list(range(width, truncation + 1, width))
-            if not edges or edges[-1] != truncation + 1:
-                edges.append(truncation + 1)
-        else:
-            axes = [np.arange(1, truncation + 1, dtype=np.float64)] * dim
-            grids = np.meshgrid(*axes, indexing="ij")
-            terms = np.ones(grids[0].shape)
-            coupling = np.zeros(grids[0].shape)
-            for g, aj in zip(grids, a_exp):
-                terms = terms * g**aj
-                coupling = coupling + g + 1.0
-            terms = terms * coupling**b_exp
-            coord = np.maximum.reduce(grids)
-            edges = [2**i for i in range(2, int(math.log2(truncation)) + 1)]
-            if edges[-1] != truncation:
-                edges.append(truncation)
-    partial = float(np.sum(terms))
-    if not math.isfinite(partial):
-        return ConditionReport(converges=False, partial_sum=partial, tail_estimate=math.inf, last_ratio=math.inf)
-    bands = _band_sums(terms, coord, edges)
-    if bands[-1] == 0.0:
-        return ConditionReport(converges=True, partial_sum=partial, tail_estimate=0.0, last_ratio=0.0)
-    ratios = [
-        bands[i + 1] / bands[i] for i in range(len(bands) - 1) if bands[i] > 0.0
-    ]
-    if len(ratios) < 2:
-        raise Inconclusive(f"too few usable bands at truncation {truncation}")
-    # ratios of regularly varying band sums approach their geometric limit
-    # monotonically near the end; take the recent max and guard against a
-    # still-drifting sequence rather than demanding one-sided convergence.
-    # Downward drift only tightens the bound, so only upward drift blocks
-    # the certificate.
-    q = max(ratios[-3:])
-    drift = ratios[-1] - ratios[-2]
-    rise = max(drift, 0.0)
-    if q >= 1.0:
-        return ConditionReport(converges=False, partial_sum=partial, tail_estimate=math.inf, last_ratio=q)
-    q_safe = min(q + rise, 0.999)
-    if q <= 1.0 - margin and rise <= margin / 2 and q_safe <= 1.0 - margin / 2:
-        tail = bands[-1] * q_safe / (1.0 - q_safe)
-        return ConditionReport(converges=True, partial_sum=partial, tail_estimate=tail, last_ratio=q)
-    raise Inconclusive(
-        f"band ratios near {q:.4f} (drift {drift:+.4f}) cannot certify either way "
-        f"against margin {margin} at truncation {truncation}; try a larger truncation"
-    )
+        shift, threshold = 1.0 / theta2 - inv_t1, 0.0
+    worst = max((v2 - v1 + shift) * scale for v1, v2 in zip(b1, b2)) + b_exp
+    return ConditionReport(converges=worst < threshold, worst_exponent=worst)

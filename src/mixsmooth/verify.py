@@ -39,10 +39,9 @@ from .core import (
 from .lorentz import lorentz_norm, poly_norm
 from .seqnorms import (
     EmbeddingExponents,
-    Inconclusive,
     UncoveredParams,
+    _weighted_block_sum,
     embedding_exponents,
-    seq_norm_B,
     theorem1_rhs,
     theorem2_rhs,
     theorem3_norm,
@@ -247,7 +246,6 @@ class VerifyConfig:
     stability_factor: float = 2.0
     threads: int = 1
     windows: dict | None = None
-    thm5_truncation: int | None = None
 
     def window_for(self, check: str, dim: int):
         if not self.windows:
@@ -483,9 +481,7 @@ class Workspace:
 
     def seq_norm(self, fid: str, lp: LorentzParams, sp: SmoothParams) -> float:
         key = ("seqB", fid, self._lp_key(lp), self._sp_key(sp))
-        return self._get(
-            key, lambda: seq_norm_B(self.poly(fid), lp, sp, shape=self.shape(fid))
-        )
+        return self._get(key, lambda: _weighted_block_sum(self.block_norms(fid, lp), sp))
 
     def thm1_rhs(self, fid: str, lp: LorentzParams, sp: SmoothParams) -> float:
         key = ("t1rhs", fid, self._lp_key(lp), self._sp_key(sp))
@@ -507,7 +503,8 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# check bodies: each returns (rows, aux) and may raise UncoveredParams/Inconclusive
+# check bodies: each returns (rows, aux) and may raise UncoveredParams, which
+# depends on (lp, sp) only, never on the corpus
 
 
 def _diag(t: float, dim: int) -> tuple[float, ...]:
@@ -743,8 +740,8 @@ def _thm5_23_params(lp, sp):
         eta = theta1 / theta2
         scale = theta2 * eta / (eta - 1.0)
     b_gap = (1.0 / tau2 - 1.0 / tau1) * scale
-    # Margin 1.4 in exponent units: the comparison-sum bands then decay like
-    # 2^-0.4, fast enough to certify at the default truncations, while the
+    # Margin 1.4 in exponent units: the power-form worst exponent is -1.4 and
+    # the dyadic one -0.4, both clear of their thresholds -1 and 0, while the
     # theta2 = 3/4 theta1 choice keeps b2 above its -1/theta2 floor for every
     # admissible b except those within ~0.23/theta1 of b's own floor.
     delta = (1.4 + b_gap) / scale
@@ -763,13 +760,10 @@ def _check_thm5_23(corpus, lp, sp, cfg, ws: Workspace):
     sp2 = SmoothParams(theta2, b2, sp.k)
     rows = []
     aux = {"theta1": theta1, "theta2": theta2, "tau2": lp2.tau, "b2": list(b2)}
-    cond_seq = theorem5_condition(
-        sp.b, b2, lp.tau, lp2.tau, theta1, theta2, truncation=cfg.thm5_truncation
-    )
+    cond_seq = theorem5_condition(sp.b, b2, lp.tau, lp2.tau, theta1, theta2)
     aux["condition_sequence"] = {
         "converges": cond_seq.converges,
-        "partial_sum": cond_seq.partial_sum,
-        "last_ratio": cond_seq.last_ratio,
+        "worst_exponent": cond_seq.worst_exponent,
     }
     if not cond_seq.converges:
         raise UncoveredParams("sequence-form comparison sum diverges; embedding not claimed")
@@ -779,24 +773,15 @@ def _check_thm5_23(corpus, lp, sp, cfg, ws: Workspace):
                 f"{cf.fid}/seq", ws.seq_norm(cf.fid, lp2, sp2), ws.seq_norm(cf.fid, lp, sp1)
             )
         )
-    try:
-        cond_dyad = theorem5_condition(
-            sp.b, b2, lp.tau, lp2.tau, theta1, theta2,
-            truncation=cfg.thm5_truncation, dyadic=True,
-        )
-        aux["condition_dyadic"] = {
-            "converges": cond_dyad.converges,
-            "partial_sum": cond_dyad.partial_sum,
-            "last_ratio": cond_dyad.last_ratio,
-        }
-        dyad_ok = cond_dyad.converges
-    except Inconclusive as exc:
-        aux["condition_dyadic"] = {"inconclusive": str(exc)}
-        dyad_ok = False
+    cond_dyad = theorem5_condition(sp.b, b2, lp.tau, lp2.tau, theta1, theta2, dyadic=True)
+    aux["condition_dyadic"] = {
+        "converges": cond_dyad.converges,
+        "worst_exponent": cond_dyad.worst_exponent,
+    }
     hypo_ok = all(
         b1j + 1.0 / lp.tau > b2j + 1.0 / lp2.tau for b1j, b2j in zip(sp.b, b2)
     )
-    if dyad_ok and hypo_ok:
+    if cond_dyad.converges and hypo_ok:
         for cf in corpus:
             rows.append(
                 RatioRow(
@@ -844,10 +829,14 @@ _CHECK_BODIES = {
 CHECK_NAMES = tuple(_CHECK_BODIES)
 
 
-def check_sided(check: str) -> str:
+def _registered(check: str) -> tuple:
     if check not in _CHECK_BODIES:
         raise UnknownCheck(f"{check!r} is not a registered check (see CHECK_NAMES)")
-    return _CHECK_BODIES[check][2]
+    return _CHECK_BODIES[check]
+
+
+def check_sided(check: str) -> str:
+    return _registered(check)[2]
 
 
 def _params_dict(lp: LorentzParams, sp: SmoothParams) -> dict:
@@ -884,13 +873,11 @@ def run_check(
     at or beyond the configured factor fails the verdict.  Checks whose
     hypotheses exclude the given parameters report verdict "skipped".
     """
-    if check not in _CHECK_BODIES:
-        raise UnknownCheck(f"{check!r} is not a registered check (see CHECK_NAMES)")
+    body, corpus_based, sided = _registered(check)
     config = config or VerifyConfig()
     if lp.tau <= 1.0:
         raise InvalidParams("the verification harness requires 1 < tau < inf")
     validate_params(lp, sp, corpus.dim)
-    body, corpus_based, sided = _CHECK_BODIES[check]
     ws = workspace if workspace is not None else Workspace(corpus, config)
     common = {
         "check": check,
@@ -902,7 +889,7 @@ def run_check(
     window = config.window_for(check, corpus.dim)
     try:
         rows, aux = body(corpus, lp, sp, config, ws)
-    except (UncoveredParams, Inconclusive) as exc:
+    except UncoveredParams as exc:
         return RatioReport(
             rows=(),
             stats=None,
@@ -924,31 +911,28 @@ def run_check(
             else generate_corpus(corpus.seed, corpus.dim, corpus.max_degree * 2)
         )
         ws2 = doubled_workspace if doubled_workspace is not None else Workspace(doubled, config)
-        try:
-            rows2, _ = body(ws2.corpus, lp, sp, config, ws2)
-            stats2, zz2, fail2 = _row_stats(rows2)
-            growth = None
-            if sided == "upper":
-                if stats and stats2:
-                    if stats["max"] > 0:
-                        growth = stats2["max"] / stats["max"]
-                    elif stats2["max"] > 0:
-                        growth = math.inf
-            else:
-                s1, s2 = _spread(stats), _spread(stats2)
-                if s1 is not None and s2 is not None:
-                    growth = s2 / s1
-                elif stats and stats2 and stats["max"] > 0:
+        rows2, _ = body(ws2.corpus, lp, sp, config, ws2)
+        stats2, zz2, fail2 = _row_stats(rows2)
+        growth = None
+        if sided == "upper":
+            if stats and stats2:
+                if stats["max"] > 0:
                     growth = stats2["max"] / stats["max"]
-            stability = {
-                "max_degree": ws2.corpus.max_degree,
-                "stats": stats2,
-                "zero_zero": zz2,
-                "spread_growth": growth,
-            }
-            failures = tuple(failures) + tuple(f"doubled: {m}" for m in fail2)
-        except (UncoveredParams, Inconclusive) as exc:
-            stability = {"skipped": f"{type(exc).__name__}: {exc}"}
+                elif stats2["max"] > 0:
+                    growth = math.inf
+        else:
+            s1, s2 = _spread(stats), _spread(stats2)
+            if s1 is not None and s2 is not None:
+                growth = s2 / s1
+            elif stats and stats2 and stats["max"] > 0:
+                growth = stats2["max"] / stats["max"]
+        stability = {
+            "max_degree": ws2.corpus.max_degree,
+            "stats": stats2,
+            "zero_zero": zz2,
+            "spread_growth": growth,
+        }
+        failures = tuple(failures) + tuple(f"doubled: {m}" for m in fail2)
     verdict = "pass"
     if failures:
         verdict = "fail"

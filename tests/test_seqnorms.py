@@ -9,7 +9,6 @@ from mixsmooth.core import InvalidParams, LorentzParams, SmoothParams, TrigPoly,
 from mixsmooth.lorentz import poly_norm
 from mixsmooth.seqnorms import (
     ConditionReport,
-    Inconclusive,
     embedding_exponents,
     norm_bold_B,
     seq_norm_B,
@@ -26,7 +25,7 @@ L2 = LorentzParams(2.0, 2.0)
 SQ2 = math.sqrt(2.0)
 
 
-# --- analytic oracle for the convergence certificate -----------------------
+# --- analytic oracle for the convergence test -------------------------------
 # the power-form sum converges iff every axis exponent A_j plus the coupling
 # exponent B stays below -1; the dyadic form iff every C_j + B stays below 0
 
@@ -197,7 +196,7 @@ def test_exponents_sup_theta():
     assert ee.u == (1.0,)  # max(gamma, inf) contributes nothing
 
 
-# --- convergence certificate -----------------------------------------------
+# --- convergence test ------------------------------------------------------
 
 
 ORACLE_CASES = [
@@ -208,6 +207,7 @@ ORACLE_CASES = [
     ((0.2, 0.2), (0.1, 0.1), 2.0, 1.9, 3.0, 2.0),
     ((2.0,), (0.0,), 2.0, 2.0, math.inf, 1.0),  # sup-index source
     ((0.3,), (0.25,), 4.0, 1.2, 2.5, 1.25),
+    ((0.78,), (0.0,), 3.0, 1.5, 4.0, 2.0),    # slowly decaying terms
 ]
 
 
@@ -215,14 +215,8 @@ ORACLE_CASES = [
 def test_certificate_agrees_with_analytic_oracle_power(case):
     b1, b2, tau1, tau2, theta1, theta2 = case
     want = power_sum_converges(b1, b2, tau1, tau2, theta1, theta2)
-    try:
-        rep = theorem5_condition(b1, b2, tau1, tau2, theta1, theta2)
-    except Inconclusive:
-        pytest.fail(f"certificate inconclusive on a clear-cut case {case}")
+    rep = theorem5_condition(b1, b2, tau1, tau2, theta1, theta2)
     assert rep.converges == want
-    if want:
-        assert rep.tail_estimate < math.inf
-        assert rep.partial_sum > 0.0
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -231,20 +225,6 @@ def test_certificate_agrees_with_analytic_oracle_dyadic(case):
     want = dyadic_sum_converges(b1, b2, tau1, tau2, theta1, theta2)
     rep = theorem5_condition(b1, b2, tau1, tau2, theta1, theta2, dyadic=True)
     assert rep.converges == want
-
-
-def test_certificate_inconclusive_at_tiny_truncation():
-    # slow but genuine convergence cannot be certified from four terms
-    with pytest.raises(Inconclusive):
-        theorem5_condition((1.0,), (0.0,), 3.0, 1.5, 4.0, 2.0, truncation=4, margin=0.4)
-
-
-def test_certificate_borderline_resolves_with_larger_truncation():
-    # exponent sum just below the divergence line: small boxes are ambiguous,
-    # larger ones certify
-    b1, b2 = (0.78,), (0.0,)
-    rep = theorem5_condition(b1, b2, 3.0, 1.5, 4.0, 2.0, truncation=16384)
-    assert rep.converges == power_sum_converges(b1, b2, 3.0, 1.5, 4.0, 2.0)
 
 
 def test_certificate_validates_parameter_order():
@@ -256,8 +236,41 @@ def test_certificate_validates_parameter_order():
         theorem5_condition((0.0, 0.0), (0.0,), 3.0, 1.5, 4.0, 2.0)
 
 
-def test_report_fields_carry_partial_sum():
+def test_report_fields_carry_worst_exponent():
+    # theta (4, 2): eta' = 2, scale 4; B = (1/1.5 - 1/3) 4 = 4/3
     rep = theorem5_condition((1.5,), (0.0,), 3.0, 1.5, 4.0, 2.0)
     assert isinstance(rep, ConditionReport)
-    assert rep.partial_sum > 0.0
-    assert 0.0 <= rep.last_ratio < 1.0
+    assert rep.worst_exponent == pytest.approx(-6.0 + 4.0 / 3.0, abs=1e-12)
+    dyad = theorem5_condition((1.5,), (0.0,), 3.0, 1.5, 4.0, 2.0, dyadic=True)
+    assert dyad.worst_exponent == pytest.approx(-5.0 + 4.0 / 3.0, abs=1e-12)
+    # the slower axis decides
+    two = theorem5_condition((1.5, 0.5), (0.0, 0.0), 3.0, 1.5, 4.0, 2.0)
+    assert two.worst_exponent == pytest.approx(-2.0 + 4.0 / 3.0, abs=1e-12)
+    assert not two.converges
+
+
+# theta (4, 2) gives scale 4, so shifting b1 by 0.0025 moves every exponent by
+# 0.01; the dyadic exponent sits exactly 1 above the power one
+BOUNDARY_CASES = [
+    # (b1, tau1, tau2, power worst exponent)
+    ((0.2525,), 2.0, 2.0, -1.01),
+    ((0.2475,), 2.0, 2.0, -0.99),
+    ((7.0 / 12.0 + 0.0025,), 3.0, 1.5, -1.01),
+    ((7.0 / 12.0 - 0.0025,), 3.0, 1.5, -0.99),
+    ((0.2525, 0.2475), 2.0, 2.0, -0.99),
+    ((0.2525, 0.2525), 2.0, 2.0, -1.01),
+]
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_condition_boundaries_either_side(case):
+    b1, tau1, tau2, worst = case
+    b2 = (0.0,) * len(b1)
+    power = theorem5_condition(b1, b2, tau1, tau2, 4.0, 2.0)
+    dyad = theorem5_condition(b1, b2, tau1, tau2, 4.0, 2.0, dyadic=True)
+    assert power.worst_exponent == pytest.approx(worst, abs=1e-12)
+    assert dyad.worst_exponent == pytest.approx(worst + 1.0, abs=1e-12)
+    assert power.converges == (worst < -1.0)
+    assert power.converges == power_sum_converges(b1, b2, tau1, tau2, 4.0, 2.0)
+    assert dyad.converges == (worst < -1.0)
+    assert dyad.converges == dyadic_sum_converges(b1, b2, tau1, tau2, 4.0, 2.0)

@@ -3,12 +3,16 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import mixsmooth.seqnorms
+import mixsmooth.verify
 from mixsmooth.core import LorentzParams, SmoothParams
-from mixsmooth.spectral import block_of_frequency
+from mixsmooth.seqnorms import theorem5_condition
+from mixsmooth.spectral import block_norms, block_of_frequency
 from mixsmooth.verify import (
     CHECK_NAMES,
     Corpus,
@@ -18,6 +22,7 @@ from mixsmooth.verify import (
     Workspace,
     _check_lemma1_monotone,
     _row_stats,
+    _thm5_23_params,
     check_sided,
     default_threads,
     generate_corpus,
@@ -26,6 +31,8 @@ from mixsmooth.verify import (
     parallel_map,
     run_check,
 )
+
+from test_acceptance import BATTERY_LP, BATTERY_SP
 
 LP = LorentzParams(3.0, 1.5)
 SP = SmoothParams(1.0, 0.0)
@@ -159,6 +166,46 @@ def test_uncovered_embedding_pair_is_skipped(small_corpus):
     rep = run_check("thm4_lower", small_corpus, LorentzParams(2.0, 3.0), SP)
     assert rep.verdict == "skipped"
     assert "UncoveredParams" in rep.notes
+
+
+def test_thm5_23_params_keep_margin_on_battery_grid():
+    # the shifted b2 puts the power-form worst exponent at -1.4 and the dyadic
+    # one at -0.4 for every battery pair
+    for dim in (1, 2):
+        for p, tau in BATTERY_LP:
+            for theta, b in BATTERY_SP:
+                lp = LorentzParams(p, tau)
+                sp = SmoothParams(theta, (b,) * dim)
+                lp2, theta1, theta2, b2 = _thm5_23_params(lp, sp)
+                for dyadic, want in ((False, -1.4), (True, -0.4)):
+                    rep = theorem5_condition(
+                        sp.b, b2, lp.tau, lp2.tau, theta1, theta2, dyadic=dyadic
+                    )
+                    assert rep.converges
+                    assert rep.worst_exponent == pytest.approx(want, abs=1e-12)
+
+
+def test_sequence_checks_compute_block_norms_once_per_key(small_corpus, monkeypatch):
+    # every seq_norm weights the Workspace's cached block norms, so each
+    # (fid, p, tau) is evaluated once however many (theta, b) reuse it
+    fids = {id(cf.poly): cf.fid for cf in small_corpus}
+    calls = Counter()
+
+    def counting(f, lp, shape=None):
+        calls[(fids[id(f)], lp.p, lp.tau)] += 1
+        return block_norms(f, lp, shape)
+
+    monkeypatch.setattr(mixsmooth.verify, "block_norms", counting)
+    monkeypatch.setattr(mixsmooth.seqnorms, "block_norms", counting)
+    cfg = VerifyConfig(stability=False)
+    ws = Workspace(small_corpus, cfg)
+    for p, tau in BATTERY_LP:
+        for theta, b in BATTERY_SP:
+            sp = SmoothParams(theta, b)
+            for check in ("thm4_lower", "thm4_upper", "thm5_1", "thm5_23"):
+                run_check(check, small_corpus, LorentzParams(p, tau), sp, cfg, workspace=ws)
+    assert calls
+    assert set(calls.values()) == {1}
 
 
 def test_sidedness_registry():
