@@ -127,6 +127,12 @@ def theorem1_rhs(f: TrigPoly, lp: LorentzParams, sp: SmoothParams, nu_max=None, 
     spectrum (the surrogate vanishes identically beyond, contributing zero).
     """
     validate_params(lp, sp, f.dim)
+    combos, cutoffs = _theorem1_cutoffs(f, nu_max)
+    return _theorem1_sum(combos, angle_residual_norms(f, cutoffs, lp, shape), sp)
+
+
+def _theorem1_cutoffs(f: TrigPoly, nu_max=None) -> tuple[list, list]:
+    # the index vectors nu of theorem1_rhs and their cutoff vectors, in order
     tight = f.tight_degree()
     if nu_max is None:
         # per axis, the first nu with floor(2^(nu-1)) >= n kills the residual
@@ -134,10 +140,13 @@ def theorem1_rhs(f: TrigPoly, lp: LorentzParams, sp: SmoothParams, nu_max=None, 
     elif np.isscalar(nu_max):
         nu_max = (int(nu_max),) * f.dim
     nu_max = tuple(int(v) for v in nu_max)
-    grid_nus = [range(0, v + 1) for v in nu_max]
-    combos = [tuple(int(v) for v in pos) for pos in np.ndindex(*[len(g) for g in grid_nus])]
+    combos = [tuple(int(v) for v in pos) for pos in np.ndindex(*[v + 1 for v in nu_max])]
     cutoffs = [tuple(_dyadic_cutoff(v) for v in nu) for nu in combos]
-    norms = angle_residual_norms(f, cutoffs, lp, shape)
+    return combos, cutoffs
+
+
+def _theorem1_sum(combos, norms, sp: SmoothParams) -> float:
+    # theta-sum of the surrogate norms at combos under weights prod (nu_j + 1)^(b_j)
     weighted = []
     for nu, val in zip(combos, norms):
         w = 1.0
@@ -151,11 +160,15 @@ def theorem2_rhs(f: TrigPoly, lp: LorentzParams, sp: SmoothParams, shape=None) -
     """|| f ||_{p,tau} plus the weighted theta-sum of square-function tail norms,
     tails starting at every nu in [1, smax]^m."""
     validate_params(lp, sp, f.dim)
-    sig = tail_square_norms(f, lp, shape)
+    return _theorem2_sum(poly_norm(f, lp, shape), tail_square_norms(f, lp, shape), sp)
+
+
+def _theorem2_sum(norm: float, sig: np.ndarray, sp: SmoothParams) -> float:
+    # norm plus the theta-sum of the tail table sig under weights prod (nu_j + 1)^(b_j)
     weights = axis_product(
         [(np.arange(1, v + 1, dtype=np.float64) + 1.0) ** bj for v, bj in zip(sig.shape, sp.b)]
     )
-    return poly_norm(f, lp, shape) + theta_sum(sig * weights, sp.theta)
+    return norm + theta_sum(sig * weights, sp.theta)
 
 
 def _group_bounds(l: int) -> tuple[int, int]:
@@ -176,6 +189,11 @@ def theorem3_norm(f: TrigPoly, lp: LorentzParams, sp: SmoothParams, side: str, s
     validate_params(lp, sp, f.dim)
     if side not in ("lower", "upper"):
         raise InvalidParams(f"side must be 'lower' or 'upper', got {side}")
+    return _theorem3_sum(poly_norm(f, lp, shape), _group_norms(f, lp, side, shape), sp)
+
+
+def _group_norms(f: TrigPoly, lp: LorentzParams, side: str, shape=None) -> tuple[list, np.ndarray]:
+    # the group index vectors l of every nonzero group of theorem3_norm, and their norms
     start = 1 if side == "lower" else 0
     smax = max_block_index(f)
     l_ranges = []
@@ -184,20 +202,25 @@ def theorem3_norm(f: TrigPoly, lp: LorentzParams, sp: SmoothParams, side: str, s
         while _group_bounds(top)[1] < max(m_ax, 1):
             top += 1
         l_ranges.append(range(start, top + 1))
-    inv_theta = 0.0 if math.isinf(sp.theta) else 1.0 / sp.theta
     tables = []
     for axis, r in enumerate(l_ranges):
         ids = _axis_block_indices(f.freqs(axis))
         tables.append(np.array([(ids >= lo) & (ids <= hi) for lo, hi in map(_group_bounds, r)]))
     pos, masks = _nonzero_rows(f, tables)
-    norms = multiplier_norms(f, masks, lp, shape)
+    groups = [tuple(r[i] for r, i in zip(l_ranges, p)) for p in pos]
+    return groups, multiplier_norms(f, masks, lp, shape)
+
+
+def _theorem3_sum(norm: float, group_norms: tuple[list, np.ndarray], sp: SmoothParams) -> float:
+    # norm plus the theta-sum of the group norms under weights prod 2^(l_j (b_j + 1/theta))
+    inv_theta = 0.0 if math.isinf(sp.theta) else 1.0 / sp.theta
     weighted = []
-    for p, val in zip(pos, norms):
+    for ls, val in zip(*group_norms):
         w = 1.0
-        for lj, bj in zip((r[i] for r, i in zip(l_ranges, p)), sp.b):
+        for lj, bj in zip(ls, sp.b):
             w *= 2.0 ** (lj * (bj + inv_theta))
         weighted.append(w * float(val))
-    return poly_norm(f, lp, shape) + theta_sum(weighted, sp.theta)
+    return norm + theta_sum(weighted, sp.theta)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,13 @@ t in (0, 1]^m at dyadic points t = 2^(1-nu): each dyadic cell of the weight
 ModulusGrid: each axis merges the h-lattices of all its levels into one union
 point set, one batch of difference norms covers the product of those unions,
 and the entry at nu is the maximum over the product of the per-axis unions of
-the lattices of levels nu' >= nu.  The truncation is certified: the
-derivative bound omega_k(f, t) <= prod_j t_j^(k_j) ||D^k f|| majorizes every
-discarded term, and the majorant's tail is summed explicitly.
+the lattices of levels nu' >= nu.  The fold of that table takes its norms
+from a callback, so a caller holding norms of earlier batches (verify's
+Workspace memo) serves the lattice without evaluating a row twice; a row's
+norm has the same bits in any batch, so the table does too.  The
+truncation is certified: the derivative bound
+omega_k(f, t) <= prod_j t_j^(k_j) ||D^k f|| majorizes every discarded term,
+and the majorant's tail is summed explicitly.
 """
 
 from __future__ import annotations
@@ -117,6 +121,11 @@ def _lattice_points(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def _step_lattice(t: tuple[float, ...], h_grid: int) -> np.ndarray:
+    """Rows of the product lattice of h_grid uniform steps on each [0, t_j]."""
+    return _lattice_points([np.linspace(0.0, tj, h_grid) for tj in t])
+
+
 def mixed_modulus(
     f: TrigPoly, t, k, lp: LorentzParams, h_grid: int = 17, shape=None, refine: bool = True
 ) -> float:
@@ -133,8 +142,7 @@ def mixed_modulus(
     k = _order_tuple(k, f.dim)
     if h_grid < 2:
         raise InvalidParams(f"h_grid must be >= 2, got {h_grid}")
-    axes = [np.linspace(0.0, tj, h_grid) for tj in t]
-    pts = _lattice_points(axes)
+    pts = _step_lattice(t, h_grid)
     norms = difference_norms(f, pts, k, lp, shape)
     best = int(np.argmax(norms))
     value = float(norms[best])
@@ -213,11 +221,18 @@ def modulus_grid(
     nu_max = tuple(int(v) for v in nu_max)
     if any(v < 1 for v in nu_max):
         raise InvalidParams(f"nu_max must be >= 1 per axis, got {nu_max}")
+    return _fold_grid(
+        f, k, lp, nu_max, h_grid, lambda pts: difference_norms(f, pts, k, lp, shape)
+    )
+
+
+def _fold_grid(f: TrigPoly, k, lp: LorentzParams, nu_max, h_grid: int, norms_at) -> ModulusGrid:
+    """modulus_grid on validated arguments; norms_at(steps) gives the table's norms."""
     t_values = tuple(2.0 ** (1 - np.arange(1, v + 1, dtype=np.float64)) for v in nu_max)
     unions = [
         _axis_union(tv, n, h_grid) for tv, n in zip(t_values, f.tight_degree())
     ]
-    norms = difference_norms(f, _lattice_points([pts for pts, _ in unions]), k, lp, shape)
+    norms = norms_at(_lattice_points([pts for pts, _ in unions]))
     values = norms.reshape([pts.size for pts, _ in unions])
     for axis, (_, reach) in enumerate(unions):
         rows = np.moveaxis(values, axis, -1)[..., None, :]
@@ -314,11 +329,23 @@ def log_modulus_seminorm(
     nu_max = None picks the truncation automatically: starting a few levels
     past the spectral radius, the box grows until the certified tail stays
     under 1% of the partial value.  A precomputed ModulusGrid can be passed
-    to reuse modulus values; it must match (p, tau, k, h_grid).
+    to reuse modulus values; it must match (p, tau, k, h_grid).  A box that
+    fits inside it is sliced from it, and a larger box is tabulated at
+    exactly its own size.
     """
     if sp.dim != f.dim:
         raise InvalidParams(f"smoothness bundle has {sp.dim} axes, function has {f.dim}")
     deriv_norm = poly_norm(derivative(f, sp.k), lp, shape)
+    return _seminorm(
+        f, sp, deriv_norm, nu_max, grid,
+        lambda box: modulus_grid(f, sp.k, lp, box, h_grid=h_grid, shape=shape),
+    )
+
+
+def _seminorm(
+    f: TrigPoly, sp: SmoothParams, deriv_norm: float, nu_max, grid, build
+) -> SeminormResult:
+    """log_modulus_seminorm given ||D^k f||; build(box) tabulates a box grid misses."""
     auto = nu_max is None
     if auto:
         start = tuple(
@@ -329,7 +356,7 @@ def log_modulus_seminorm(
     box = start
     for _ in range(8):
         if grid is None or any(g < v for g, v in zip(grid.nu_max, box)):
-            grid = modulus_grid(f, sp.k, lp, box, h_grid=h_grid, shape=shape)
+            grid = build(box)
         sub = ModulusGrid(
             p=grid.p,
             tau=grid.tau,

@@ -226,6 +226,42 @@ def test_modulus_grid_makes_one_difference_batch(monkeypatch):
     assert len(calls) == 2
 
 
+def test_grid_from_rows_of_other_batches_is_bitwise_equal():
+    # a table folded from norms evaluated in other batches (a larger box's
+    # lattice, shuffled) equals modulus_grid: a row's norm has the same bits
+    # in any batch, which is what lets a cache serve lattice rows
+    f = ring_poly(np.random.default_rng(37), 2, 4)
+    k, shape = (1, 2), (16, 16)
+    rng = np.random.default_rng(38)
+    big = smoothness._lattice_points(
+        [smoothness._axis_union(2.0 ** -np.arange(7.0), n, 5)[0] for n in f.tight_degree()]
+    )
+    order = rng.permutation(len(big))
+    table = dict(zip(map(bytes, big[order]), difference_norms(f, big[order], k, LP_MIXED, shape)))
+
+    def served(pts):
+        return np.array([table[bytes(row)] for row in pts])
+
+    for nu_max in ((7, 7), (4, 6), (2, 2)):
+        want = modulus_grid(f, k, LP_MIXED, nu_max, h_grid=5, shape=shape)
+        got = smoothness._fold_grid(f, k, LP_MIXED, nu_max, 5, served)
+        assert np.array_equal(got.values, want.values)
+
+
+def test_seminorm_regrows_past_a_small_grid_like_a_fresh_build():
+    # a precomputed grid smaller than the automatic box is not used; each
+    # larger box is tabulated at its own size, as without a grid
+    f = ring_poly(np.random.default_rng(39), 1, 8)
+    sp = SmoothParams(1.0, 1.0)
+    fresh = log_modulus_seminorm(f, sp, LP_MIXED, h_grid=9, shape=(32,))
+    small = modulus_grid(f, sp.k, LP_MIXED, (3,), h_grid=9, shape=(32,))
+    reused = log_modulus_seminorm(f, sp, LP_MIXED, h_grid=9, shape=(32,), grid=small)
+    assert fresh.nu_max[0] > 7  # grew past its starting box
+    assert (reused.value, reused.tail_bound, reused.nu_max) == (
+        fresh.value, fresh.tail_bound, fresh.nu_max
+    )
+
+
 def test_modulus_grid_structure():
     f = ring_poly(np.random.default_rng(26), 1, 9)
     grid = modulus_grid(f, (1,), L2, nu_max=(4,))

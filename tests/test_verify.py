@@ -3,16 +3,30 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import mixsmooth.seqnorms
+import mixsmooth.smoothness
 import mixsmooth.verify
 from mixsmooth.core import LorentzParams, SmoothParams
-from mixsmooth.seqnorms import theorem5_condition
-from mixsmooth.spectral import block_norms, block_of_frequency
+from mixsmooth.seqnorms import theorem1_rhs, theorem2_rhs, theorem3_norm, theorem5_condition
+from mixsmooth.smoothness import (
+    difference_norms,
+    log_modulus_seminorm,
+    mixed_modulus,
+    modulus_grid,
+)
+from mixsmooth.spectral import (
+    angle_residual_norms,
+    block_norms,
+    block_of_frequency,
+    tail_square_norms,
+)
 from mixsmooth.verify import (
     CHECK_NAMES,
     Corpus,
@@ -206,6 +220,148 @@ def test_sequence_checks_compute_block_norms_once_per_key(small_corpus, monkeypa
                 run_check(check, small_corpus, LorentzParams(p, tau), sp, cfg, workspace=ws)
     assert calls
     assert set(calls.values()) == {1}
+
+
+def test_workspace_quantities_equal_fresh_library_values_bitwise(small_corpus):
+    # every Workspace quantity read through the difference-norm memo or the
+    # shared cutoff, tail and group caches has the bits of its fresh build;
+    # at theta = 1, b = 1 every seminorm grows past the Workspace box
+    cfg = VerifyConfig(stability=False)
+    ws = Workspace(small_corpus, cfg)
+    h_grid = cfg.h_grid
+    regrown = 0
+    for lp in (LP, LorentzParams(2.0, 2.0)):
+        for sp in (SP, SmoothParams(1.0, 1.0), SmoothParams(math.inf, 1.0, 2)):
+            for cf in small_corpus:
+                f, shape = cf.poly, ws.shape(cf.fid)
+                for t in ((0.5,), (0.1,), (1.0 / 3.0,)):
+                    assert ws.modulus(cf.fid, lp, sp.k, t) == mixed_modulus(
+                        f, t, sp.k, lp, h_grid=h_grid, shape=shape, refine=False
+                    )
+                grid = ws.mod_grid(cf.fid, lp, sp.k)
+                fresh = modulus_grid(f, sp.k, lp, grid.nu_max, h_grid=h_grid, shape=shape)
+                assert np.array_equal(grid.values, fresh.values)
+                semi = ws.semi(cf.fid, lp, sp)
+                want = log_modulus_seminorm(f, sp, lp, h_grid=h_grid, shape=shape, grid=fresh)
+                assert (semi.value, semi.tail_bound, semi.nu_max) == (
+                    want.value, want.tail_bound, want.nu_max
+                )
+                regrown += any(a > b for a, b in zip(semi.nu_max, grid.nu_max))
+                assert ws.thm1_rhs(cf.fid, lp, sp) == theorem1_rhs(f, lp, sp, shape=shape)
+                assert ws.thm2_rhs(cf.fid, lp, sp) == theorem2_rhs(f, lp, sp, shape=shape)
+                for side in ("lower", "upper"):
+                    assert ws.thm3(cf.fid, lp, sp, side) == theorem3_norm(
+                        f, lp, sp, side, shape=shape
+                    )
+    assert regrown > 0
+
+
+def _battery_pass(corpus, ws, cfg, checks=CHECK_NAMES, sps=BATTERY_SP, threads=1):
+    # with threads > 1 the checks of each (lp, sp) share ws from a pool that
+    # switches threads often, so a lost cache or memo update would show
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if threads > 1 else interval)
+    try:
+        for p, tau in BATTERY_LP:
+            lp = LorentzParams(p, tau)
+            for theta, b in sps:
+                sp = SmoothParams(theta, (b,) * corpus.dim)
+                reports += parallel_map(
+                    lambda check: run_check(check, corpus, lp, sp, cfg, workspace=ws),
+                    checks,
+                    threads,
+                )
+    finally:
+        sys.setswitchinterval(interval)
+    return reports
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_workspace_builds_each_key_and_difference_row_once(small_corpus, monkeypatch, threads):
+    # over the whole battery on one Workspace, every cache key is built once
+    # and no step vector h is sent to difference_norms twice for the same
+    # (member, p, tau, k, shape), also with more threads than cores
+    seen = Counter()
+    built = Counter()
+    lock = threading.Lock()
+
+    def recording(f, h_list, k, lp, shape=None):
+        with lock:
+            for row in np.asarray(h_list, dtype=np.float64):
+                seen[(id(f), lp.p, lp.tau, tuple(k), tuple(shape), row.tobytes())] += 1
+        return difference_norms(f, h_list, k, lp, shape)
+
+    get = Workspace._get
+
+    def counting_get(self, key, builder):
+        def build():
+            with lock:
+                built[key] += 1
+            return builder()
+
+        return get(self, key, build)
+
+    monkeypatch.setattr(mixsmooth.verify, "difference_norms", recording)
+    monkeypatch.setattr(mixsmooth.smoothness, "difference_norms", recording)
+    monkeypatch.setattr(Workspace, "_get", counting_get)
+    cfg = VerifyConfig(stability=False)
+    _battery_pass(small_corpus, Workspace(small_corpus, cfg), cfg, threads=threads)
+    assert seen and built
+    assert max(seen.values()) == 1
+    assert max(built.values()) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_cutoffs_and_tails_evaluated_once_per_key(small_corpus, monkeypatch, threads):
+    # each (fid, p, tau, cutoff) row of angle_residual_norms and each
+    # (fid, p, tau) tail table is evaluated once over the battery
+    fids = {id(cf.poly): cf.fid for cf in small_corpus}
+    cutoffs = Counter()
+    tails = Counter()
+    lock = threading.Lock()
+
+    def cutoff_rows(f, ls, lp, shape=None):
+        with lock:
+            for l in ls:
+                cutoffs[(fids[id(f)], lp.p, lp.tau, tuple(float(v) for v in l))] += 1
+        return angle_residual_norms(f, ls, lp, shape)
+
+    def tail_calls(f, lp, shape=None):
+        with lock:
+            tails[(fids[id(f)], lp.p, lp.tau)] += 1
+        return tail_square_norms(f, lp, shape)
+
+    for module in (mixsmooth.verify, mixsmooth.seqnorms):
+        monkeypatch.setattr(module, "angle_residual_norms", cutoff_rows)
+        monkeypatch.setattr(module, "tail_square_norms", tail_calls)
+    cfg = VerifyConfig(stability=False)
+    ws = Workspace(small_corpus, cfg)
+    checks = ("lemma3_sandwich", "lemma4_direct", "lemma5_inverse", "thm1", "thm2",
+              "lp_equivalence")
+    _battery_pass(small_corpus, ws, cfg, checks, threads=threads)
+    assert cutoffs and tails
+    assert set(cutoffs.values()) == {1}
+    assert set(tails.values()) == {1}
+    assert set(tails) == {
+        (cf.fid, p, tau) for cf in small_corpus for p, tau in BATTERY_LP
+    }
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 8), (2, 4)])
+def test_shared_workspace_reports_equal_fresh_workspace_reports(dim, degree):
+    # one Workspace serving every (p, tau) and three (theta, b), regrowth
+    # included, writes the same bytes as a fresh Workspace per check
+    cfg = VerifyConfig(stability=False)
+    corpus = generate_corpus(seed=7, dim=dim, max_degree=degree)
+    sps = [BATTERY_SP[i] for i in (0, 2, 6)]
+    shared = _battery_pass(corpus, Workspace(corpus, cfg), cfg, sps=sps)
+    for rep in shared:
+        lp = LorentzParams(rep.params["p"], rep.params["tau"])
+        sp = SmoothParams(float(rep.params["theta"]), rep.params["b"])
+        fresh = run_check(rep.check, corpus, lp, sp, cfg)
+        assert rep.to_json() == fresh.to_json()
+        assert rep.to_csv() == fresh.to_csv()
 
 
 def test_sidedness_registry():
