@@ -320,10 +320,16 @@ class TrigPoly:
         return f"TrigPoly(dim={self.dim}, degree={self.degree}, nnz={nnz}, real={self.real})"
 
 
-def _is_hermitian(coeffs: np.ndarray, lead: int = 0) -> bool:
-    """Exact test a_{-k} == conj(a_k) on every axis after the first `lead`."""
-    flipped = coeffs[(slice(None),) * lead + (slice(None, None, -1),) * (coeffs.ndim - lead)]
-    return bool(np.array_equal(coeffs, np.conj(flipped)))
+def _hermitian_rows(coeff_batch: np.ndarray) -> np.ndarray:
+    """Exact test a_{-k} == conj(a_k) of each row of a (B, ...) stack, shape (B,)."""
+    flipped = coeff_batch[(slice(None),) + (slice(None, None, -1),) * (coeff_batch.ndim - 1)]
+    equal = coeff_batch == np.conj(flipped)
+    return equal.reshape(len(coeff_batch), int(np.prod(coeff_batch.shape[1:]))).all(axis=1)
+
+
+def _is_hermitian(coeffs: np.ndarray) -> bool:
+    """Exact test a_{-k} == conj(a_k) on every axis."""
+    return bool(_hermitian_rows(coeffs[None])[0])
 
 
 def _embed(target: np.ndarray, source: np.ndarray, sdeg, tdeg) -> None:
@@ -452,27 +458,39 @@ def _ifft_box(coeff_batch: np.ndarray, degree, shape, real: bool = False) -> np.
     return np.fft.ifftn(spread, axes=axes, norm="forward")
 
 
-def evaluate_coeff_batch(degree, coeff_batch: np.ndarray, shape) -> np.ndarray:
-    """Sample a stack of coefficient tensors; returns magnitudes, shape (B, prod N).
-
-    coeff_batch has shape (B, 2 n_1 + 1, ..., 2 n_m + 1).  Each row is
-    scattered to wrapped FFT bins and inverted in one batched transform, the
-    workhorse behind difference-lattice sweeps and per-block evaluations.
-
-    Two paths give the same magnitudes up to roundoff.  When the whole batch
-    is exactly Hermitian (every row equals the conjugate of itself flipped
-    on every coefficient axis, compared with np.array_equal, no tolerance),
-    every row is a real polynomial: only its last-axis frequencies 0..n_m
-    are scattered and a real inverse FFT (irfftn) samples it.  Every batch
-    of difference factors or spectral masks of a real polynomial is of this
-    kind.  Any other batch, a complex polynomial's or one that rounding left
-    a ulp off symmetric, takes the complex inverse FFT of the full box.
-    Both paths raise GridTooCoarse unless N_j >= 2 n_j + 1.
-    """
-    degree = tuple(int(n) for n in degree)
-    shape = tuple(int(N) for N in shape)
-    real = _is_hermitian(coeff_batch, lead=1)
+def _batch_magnitudes(coeff_batch: np.ndarray, degree, shape, real: bool) -> np.ndarray:
+    """|samples| of a batch on one FFT path, shape (B, prod N)."""
     values = _ifft_box(coeff_batch, degree, shape, real=real)
     # real samples are a fresh float64 array, so their magnitudes can overwrite them
     values = np.abs(values, out=values if real else None)
     return values.reshape(coeff_batch.shape[0], int(np.prod(shape)))
+
+
+def evaluate_coeff_batch(degree, coeff_batch: np.ndarray, shape) -> np.ndarray:
+    """Sample a stack of coefficient tensors; returns magnitudes, shape (B, prod N).
+
+    coeff_batch has shape (B, 2 n_1 + 1, ..., 2 n_m + 1).  Each row is
+    scattered to wrapped FFT bins and inverted in a batched transform, the
+    workhorse behind difference-lattice sweeps and per-block evaluations.
+
+    The FFT path is chosen per row, so a row has the same bits alone as in
+    any batch.  An exactly Hermitian row (it equals the conjugate of itself
+    flipped on every coefficient axis, compared with ==, no tolerance) is a
+    real polynomial: only its last-axis frequencies 0..n_m are scattered and
+    a real inverse FFT (irfftn) samples it.  Every row of difference factors
+    or spectral masks of a real polynomial is of this kind.  Any other row,
+    a complex polynomial's or one that rounding left a ulp off symmetric,
+    takes the complex inverse FFT of the full box.  A batch whose rows all
+    take one path is one transform; a mixed batch is two, whose magnitudes
+    are scattered back in row order.  Both paths raise GridTooCoarse unless
+    N_j >= 2 n_j + 1.
+    """
+    degree = tuple(int(n) for n in degree)
+    shape = tuple(int(N) for N in shape)
+    real = _hermitian_rows(coeff_batch)
+    if real.all() or not real.any():
+        return _batch_magnitudes(coeff_batch, degree, shape, bool(real.all()))
+    out = np.empty((len(coeff_batch), int(np.prod(shape))))
+    for path in (True, False):
+        out[real == path] = _batch_magnitudes(coeff_batch[real == path], degree, shape, path)
+    return out

@@ -11,18 +11,25 @@ is involved.  At tau = p the bracket telescopes to 1/M and the value is the
 plain discrete L_p norm.
 
 Every norm goes through one pipeline.  Coefficient tensors are sampled by
-evaluate_coeff_batch: a single polynomial as a one-row batch, a stack of
-tensor-multiplier images of one polynomial (multiplier_norms, and the square
-functions of spectral.tail_square_norms) by one chunk loop that bounds the
-samples held at once.  batch_norms reduces the rows in one float64 buffer
-per chunk: the samples' absolute values are powered, negated and sorted in
-place.  Every row sum is numpy's pairwise sum of that row alone, so a norm
-has the same bits alone as in any batch, chunking or BLAS thread count.
-lorentz_norm_sorted is the closed form above on pre-sorted rows, kept as the
-reference the tests compare with.
+evaluate_coeff_batch, which picks the real or complex FFT path per row: a
+single polynomial as a one-row batch, a stack of tensor-multiplier images of
+one polynomial (multiplier_norms, and the square functions of
+spectral.tail_square_norms) by one chunk loop that bounds the samples held
+at once.  That loop drops the all-zero rows of each chunk (difference steps
+with some h_j = 0, cutoffs past the spectrum) before sampling them;
+multiplier_norms gives them the norm +0.0, which is what batch_norms returns
+for a zero row.  batch_norms reduces the rows in one float64 buffer per
+chunk: the samples' absolute values are powered, negated and sorted in
+place, and multiplied by the negated step weights, computed once per
+(size, p, tau).  Every row sum is numpy's pairwise sum of that row alone, so
+a norm has the same bits alone as in any batch, chunking or BLAS thread
+count.  lorentz_norm_sorted is the closed form above on pre-sorted rows,
+kept as the reference the tests compare with.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +63,14 @@ _CHUNK_BYTES = 4_000_000
 def _step_weights(size: int, lp: LorentzParams) -> np.ndarray:
     t = np.arange(size + 1, dtype=np.float64) / size
     return np.diff(t ** (lp.tau / lp.p))
+
+
+@lru_cache(maxsize=32)
+def _negated_step_weights(size: int, lp: LorentzParams) -> np.ndarray:
+    """-_step_weights(size, lp), computed once per key and read-only."""
+    w = np.negative(_step_weights(size, lp))
+    w.flags.writeable = False
+    return w
 
 
 def _weighted_row_sums(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -99,28 +114,28 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
     np.power(arr, lp.tau, out=arr)
     np.negative(arr, out=arr)
     arr.sort(axis=-1)
-    acc = _weighted_row_sums(arr, np.negative(_step_weights(arr.shape[-1], lp)))
+    acc = _weighted_row_sums(arr, _negated_step_weights(arr.shape[-1], lp))
     return acc ** (1.0 / lp.tau)
 
 
-def _sample_chunks(f: TrigPoly, factors, shape=None):
+def _sample_chunks(f: TrigPoly, stacks, shape):
     """Samples of a stack of tensor-multiplier images of f, one chunk at a time.
 
-    factors is as in multiplier_norms.  Yields (rows, values): a slice of row
-    indices and the magnitudes of those rows on `shape`, shape
-    (len(rows), prod N), from one evaluate_coeff_batch call of at most
-    _CHUNK_BYTES.
+    stacks holds one (B, 2 n_j + 1) factor stack per axis; row b is
+    f.coeffs * axis_product(stacks)[b].  Chunks of at most _CHUNK_BYTES of
+    samples are formed in row order; each drops its all-zero rows, whose
+    samples are exact zeros, and is skipped when none is left.  Yields
+    (rows, values): the indices of the surviving rows and their magnitudes
+    on `shape`, shape (len(rows), prod N), from one evaluate_coeff_batch
+    call.
     """
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
-    factors = [np.atleast_2d(fac) for fac in factors]
-    (count,) = np.broadcast_shapes(*(fac.shape[:-1] for fac in factors))
-    factors = [np.broadcast_to(fac, (count, fac.shape[-1])) for fac in factors]
+    count = len(stacks[0])
     chunk = max(1, _CHUNK_BYTES // (16 * int(np.prod(shape))))
     for start in range(0, count, chunk):
-        rows = slice(start, min(count, start + chunk))
-        batch = f.coeffs * axis_product([fac[rows] for fac in factors])
-        yield rows, evaluate_coeff_batch(f.degree, batch, shape)
+        batch = f.coeffs * axis_product([fac[start : start + chunk] for fac in stacks])
+        rows = np.flatnonzero(batch.reshape(len(batch), -1).any(axis=1))
+        if rows.size:
+            yield start + rows, evaluate_coeff_batch(f.degree, batch[rows], shape)
 
 
 def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.ndarray:
@@ -129,10 +144,18 @@ def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.
     factors holds one entry per axis: a 1-D factor shared by every row, or a
     (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b];
     the rows are sampled on `shape` in chunks that bound the FFT memory, and
-    each chunk is reduced by batch_norms as soon as it is sampled.
+    each chunk is reduced by batch_norms as soon as it is sampled.  An
+    all-zero row is not sampled; its norm is +0.0.
     """
-    norms = [batch_norms(values, lp) for _, values in _sample_chunks(f, factors, shape)]
-    return np.concatenate(norms) if norms else np.empty(0)
+    if shape is None:
+        shape = default_grid_shape(f.dim, f.degree)
+    factors = [np.atleast_2d(fac) for fac in factors]
+    (count,) = np.broadcast_shapes(*(fac.shape[:-1] for fac in factors))
+    stacks = [np.broadcast_to(fac, (count, fac.shape[-1])) for fac in factors]
+    norms = np.zeros(count)
+    for rows, values in _sample_chunks(f, stacks, shape):
+        norms[rows] = batch_norms(values, lp)
+    return norms
 
 
 def lorentz_norm(obj, lp: LorentzParams, shape=None) -> float:

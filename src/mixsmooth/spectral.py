@@ -233,7 +233,7 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
 
     for nu_j in 1..smax_j.  Every nonzero block is evaluated once, in the
     chunks of lorentz._sample_chunks, and squared into the block lattice; the
-    tails are suffix sums of those squares over the lattice.
+    tails are suffix sums of those squares over the lattice, formed in place.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
@@ -245,10 +245,14 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
     squares = np.zeros(smax + (int(np.prod(shape)),), dtype=np.float64)
     for rows, values in _sample_chunks(f, masks, shape):
         squares[tuple(pos[rows].T)] = np.square(values, out=values)
+    # suffix sums in place, one axis at a time: the additions of a reversed
+    # cumsum, with the operands swapped (IEEE addition commutes)
     for axis in range(len(smax)):
-        squares = np.flip(np.cumsum(np.flip(squares, axis=axis), axis=axis), axis=axis)
-    flat = np.sqrt(squares.reshape(-1, squares.shape[-1]))
-    return batch_norms(flat, lp).reshape(smax)
+        view = np.moveaxis(squares, axis, 0)
+        for i in range(view.shape[0] - 2, -1, -1):
+            view[i] += view[i + 1]
+    flat = squares.reshape(-1, squares.shape[-1])
+    return batch_norms(np.sqrt(flat, out=flat), lp).reshape(smax)
 
 
 def lp_tail_norm(f: TrigPoly, nu, lp: LorentzParams, shape=None) -> float:

@@ -337,6 +337,18 @@ def test_unscaled_transform_equals_scaled_default(degree, shape, exact):
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+def record_row_paths(monkeypatch):
+    """Patch core._ifft_box to log (real flag, coefficient row) of every row it transforms."""
+    rows = []
+
+    def recording(coeff_batch, degree, shape, real=False):
+        rows.extend((real, row.copy()) for row in coeff_batch)
+        return _ifft_box(coeff_batch, degree, shape, real=real)
+
+    monkeypatch.setattr(core, "_ifft_box", recording)
+    return rows
+
+
 def test_non_hermitian_batches_take_the_complex_path(monkeypatch):
     rng = np.random.default_rng(31)
     f = random_poly(rng, 2, 3)
@@ -355,20 +367,49 @@ def test_non_hermitian_batches_take_the_complex_path(monkeypatch):
         complex_dc,
     ]
     shape = (16, 16)
-    paths = record_paths(monkeypatch)
+    log = record_row_paths(monkeypatch)
+    paths = []
     for batch in batches:
+        log.clear()
         got = evaluate_coeff_batch(f.degree, batch, shape)
         want = complex_reference(batch, f.degree, shape)
         scale = float(np.max(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
-    assert paths == [True, False, False, False]
+        assert len(log) == len(batch)
+        paths.append([next(real for real, seen in log if np.array_equal(seen, row)) for row in batch])
+    # the path is chosen per row: only the one-ulp-off row and the complex-DC
+    # row leave the real path of their Hermitian neighbours
+    assert paths == [
+        [True] * 4,
+        [False] * 4,
+        [True, False, True, True],
+        [True, True, False, True],
+    ]
+
+
+def test_hermitian_row_samples_do_not_depend_on_batch_neighbours():
+    rng = np.random.default_rng(33)
+    f = random_poly(rng, 2, 3)
+    g = random_poly(rng, 2, 3, real=False)
+    h = rng.uniform(0.0, 2.0 * np.pi, size=(3, 2))
+    hermitian = f.coeffs * axis_product(_difference_factors(f, h, (1, 1)))
+    other = g.coeffs * axis_product(_difference_factors(g, h, (1, 1)))
+    for shape in ((16, 16), (17, 9)):
+        alone = evaluate_coeff_batch(f.degree, hermitian, shape)
+        others = evaluate_coeff_batch(f.degree, other, shape)
+        for b in range(len(hermitian)):
+            mixed = np.stack([other[b], hermitian[b], other[(b + 1) % 3]])
+            got = evaluate_coeff_batch(f.degree, mixed, shape)
+            assert np.array_equal(got[1], alone[b])
+            assert np.array_equal(got[0], others[b])
+            assert np.array_equal(got[2], others[(b + 1) % 3])
 
 
 def test_coeff_batch_empty_and_too_coarse():
     empty = np.zeros((0, 5, 7), dtype=np.complex128)
     assert evaluate_coeff_batch((2, 3), empty, (8, 8)).shape == (0, 64)
     f = random_poly(np.random.default_rng(32), 2, (2, 3))
-    assert core._is_hermitian(f.coeffs[None], lead=1)
+    assert core._hermitian_rows(f.coeffs[None]).all()
     with pytest.raises(GridTooCoarse):
         evaluate_coeff_batch(f.degree, f.coeffs[None], (8, 6))  # axis 1 needs >= 7
 

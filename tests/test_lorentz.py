@@ -30,7 +30,8 @@ from mixsmooth.lorentz import (
     norm_with_refinement,
     poly_norm,
 )
-from mixsmooth.smoothness import derivative
+from mixsmooth.smoothness import _difference_factors, derivative
+from mixsmooth.spectral import _residual_masks
 from mixsmooth.verify import generate_corpus
 
 from test_core import random_poly, record_paths
@@ -377,3 +378,75 @@ def test_hermitian_multiplier_chunking_keeps_samples_and_norms_bitwise(monkeypat
     assert np.array_equal(np.concatenate(samples[8:]), samples[0])
     assert np.array_equal(chunked, whole)
     assert paths == [True] * 12
+
+
+def test_all_zero_rows_are_not_sampled_and_norm_to_plus_zero(monkeypatch):
+    # difference steps with some h_j = 0 make (e^{i n 0} - 1)^k = 0, and
+    # cutoffs at or past the tight degree leave no residual spectrum
+    rng = np.random.default_rng(24)
+    f = random_poly(rng, 2, (3, 4))
+    lp = LorentzParams(3.0, 1.5)
+    shape = (16, 16)
+    h = rng.uniform(0.1, 2.0 * np.pi, size=(9, 2))
+    h[[1, 2, 3, 6], 0] = 0.0
+    h[[3, 7], 1] = 0.0
+    cutoffs = np.array([[0, 0], [3, 1], [5, 9], [1, 2], [np.inf, 0], [2, 4]])
+    cases = [
+        (_difference_factors(f, h, (1, 2)), {1, 2, 3, 6, 7}),
+        (_residual_masks(f, cutoffs), {1, 2, 4, 5}),
+    ]
+    for factors, zero_rows in cases:
+        mults = axis_product(factors)
+        want = [poly_norm(f.apply_multiplier(m), lp, shape) for m in mults]
+        for chunk_rows in (None, 2):
+            if chunk_rows:
+                monkeypatch.setattr(lorentz, "_CHUNK_BYTES", chunk_rows * 16 * 16 * 16)
+            batches = []
+            evaluate = lorentz.evaluate_coeff_batch
+
+            def recording(degree, batch, grid):
+                batches.append(batch.copy())
+                return evaluate(degree, batch, grid)
+
+            monkeypatch.setattr(lorentz, "evaluate_coeff_batch", recording)
+            got = multiplier_norms(f, factors, lp, shape)
+            monkeypatch.undo()
+            assert np.array_equal(got, want)
+            assert {b for b, m in enumerate(mults) if not np.any(f.coeffs * m)} == zero_rows
+            for b in zero_rows:
+                assert got[b] == 0.0 and not np.signbit(got[b])
+            sampled = np.concatenate(batches)
+            assert len(sampled) == len(mults) - len(zero_rows)
+            assert all(np.any(row) for row in sampled)
+            if chunk_rows:
+                # a chunk whose rows are all zero is skipped
+                kept = {b // chunk_rows for b in range(len(mults)) if b not in zero_rows}
+                assert len(batches) == len(kept)
+
+
+def test_negated_step_weights_are_cached_read_only(monkeypatch):
+    step_weights = lorentz._step_weights
+    calls = []
+
+    def counting(size, lp):
+        calls.append((size, lp.p, lp.tau))
+        return step_weights(size, lp)
+
+    monkeypatch.setattr(lorentz, "_step_weights", counting)
+    lorentz._negated_step_weights.cache_clear()
+    rng = np.random.default_rng(25)
+    rows = {size: rng.standard_normal((3, size)) for size in (64, 256)}
+    pairs = [LorentzParams(3.0, 1.5), LorentzParams(2.0, 2.0), LorentzParams(3, 1.5)]
+    for _ in range(3):
+        for lp in pairs:
+            for size, values in rows.items():
+                batch_norms(values, lp)
+    assert sorted(calls) == sorted({(s, lp.p, lp.tau) for s in rows for lp in pairs})
+    assert len(calls) == 4
+    for size in rows:
+        for lp in pairs:
+            w = lorentz._negated_step_weights(size, lp)
+            assert not w.flags.writeable
+            assert np.array_equal(w, -step_weights(size, lp))
+    assert lorentz._negated_step_weights.cache_info().maxsize is not None
+    lorentz._negated_step_weights.cache_clear()

@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsmooth import lorentz
-from mixsmooth.core import InvalidParams, LorentzParams, TrigPoly, cosine, tensor
-from mixsmooth.lorentz import poly_norm
+from mixsmooth.core import (
+    InvalidParams,
+    LorentzParams,
+    TrigPoly,
+    cosine,
+    evaluate_on_grid,
+    tensor,
+)
+from mixsmooth.lorentz import batch_norms, poly_norm
 from mixsmooth.spectral import (
     angle_operator,
     angle_residual,
@@ -232,3 +239,25 @@ def test_partial_plus_complement_is_identity(seed, cut):
     g = partial_sum(f, (cut,)) + angle_residual(f, (cut,))
     for k, c in f.nonzero_entries():
         assert g.coeff(k) == pytest.approx(c, rel=1e-14, abs=1e-15)
+
+
+def tail_oracle(f, lp, shape):
+    """Tails from each block sampled alone and a reversed cumsum on every axis."""
+    smax = max_block_index(f)
+    squares = np.zeros(smax + (int(np.prod(shape)),))
+    for s, block in decompose(f).blocks.items():
+        samples = np.abs(evaluate_on_grid(block, shape)).ravel()
+        squares[tuple(v - 1 for v in s)] = np.square(samples)
+    for axis in range(len(smax)):
+        squares = np.flip(np.cumsum(np.flip(squares, axis=axis), axis=axis), axis=axis)
+    return batch_norms(np.sqrt(squares.reshape(-1, squares.shape[-1])), lp).reshape(smax)
+
+
+@pytest.mark.parametrize(
+    "dim, degree, shape",
+    [(1, 14, (32,)), (2, (7, 5), (16, 16)), (2, 9, (32, 32)), (3, (5, 3, 4), (16, 8, 16))],
+)
+def test_tail_square_norms_equal_reversed_cumsum_oracle(dim, degree, shape):
+    f = ring_poly(np.random.default_rng(43 + dim), dim, degree)
+    for lp in (LorentzParams(3.0, 1.5), L2):
+        assert np.array_equal(tail_square_norms(f, lp, shape), tail_oracle(f, lp, shape))
