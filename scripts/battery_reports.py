@@ -15,22 +15,12 @@ own, so `diff -r` of the two trees shows whether caching moved any byte.
 """
 
 import argparse
-import math
 import os
 
+from freeze_golden import BATTERY_LP, BATTERY_SP
 from mixsmooth.core import LorentzParams, SmoothParams
 from mixsmooth.verify import CHECK_NAMES, VerifyConfig, Workspace, generate_corpus, run_check
 
-BATTERY_LP = ((2.0, 2.0), (3.0, 1.5), (3.0, 3.0))
-BATTERY_SP = (
-    (1.0, -0.25),
-    (1.0, 0.0),
-    (1.0, 1.0),
-    (2.0, -0.25),
-    (2.0, 0.0),
-    (2.0, 1.0),
-    (math.inf, 1.0),
-)
 DIMS = ((1, 16), (2, 8))
 
 

@@ -16,12 +16,12 @@ any bit.  810 lines; about a minute.
 
 import argparse
 
+from freeze_golden import BATTERY_LP
 from mixsmooth.core import LorentzParams, SmoothParams
 from mixsmooth.lorentz import poly_norm
 from mixsmooth.seqnorms import seq_norm_B, theorem1_rhs, theorem2_rhs, theorem3_norm
 from mixsmooth.verify import generate_corpus
 
-BATTERY_LP = ((2.0, 2.0), (3.0, 1.5), (3.0, 3.0))
 DIMS = ((1, 8), (2, 8), (3, 8), (2, 32))
 CALLS = {
     "poly_norm": lambda f, lp, sp: poly_norm(f, lp),

@@ -40,6 +40,7 @@ from .verify import (
     UnknownCheck,
     VerifyConfig,
     Workspace,
+    _dyadic_levels,
     default_threads,
     generate_corpus,
     lacunary,
@@ -214,15 +215,6 @@ def cmd_modulus(args) -> int:
         rows.append(nu + t + [float(grid.values[idx])])
     _write_text(args.out, _csv_text(header, rows))
     return 0
-
-
-def _dyadic_levels(l_min: int, l_max: int) -> list[int]:
-    out, l = [], 1
-    while l <= l_max:
-        if l >= l_min:
-            out.append(l)
-        l = 2 * l + 1
-    return out
 
 
 def cmd_angle(args) -> int:

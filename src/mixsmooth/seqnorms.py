@@ -66,13 +66,23 @@ def theta_sum(values, theta: float) -> float:
     return float(np.sum(arr**theta) ** (1.0 / theta))
 
 
-def _block_weight(s: tuple[int, ...], sp: SmoothParams, r_weights) -> float:
-    w = 1.0
-    for sj, bj in zip(s, sp.b):
-        w *= (sj + 1.0) ** bj
-    if r_weights is not None:
-        w *= 2.0 ** sum(sj * rj for sj, rj in zip(s, r_weights))
-    return w
+def _weighted_theta_sum(terms, sp: SmoothParams, axis_weight, extra=None) -> float:
+    # theta-sum of w(i) x over (index vector i, value x) terms, where w(i) is
+    # prod_j axis_weight(i_j, b_j), multiplied in axis order, times extra(i)
+    weighted = []
+    for idx, val in terms:
+        w = 1.0
+        for ij, bj in zip(idx, sp.b):
+            w *= axis_weight(ij, bj)
+        if extra is not None:
+            w *= extra(idx)
+        weighted.append(w * float(val))
+    return theta_sum(weighted, sp.theta)
+
+
+def _log_weight(i: int, b: float) -> float:
+    # the axis factor (i + 1)^b of the block and cutoff weights
+    return (i + 1.0) ** b
 
 
 def seq_norm_B(
@@ -94,10 +104,10 @@ def seq_norm_B(
 
 def _weighted_block_sum(norms: dict, sp: SmoothParams, r_weights=None) -> float:
     # theta-sum of a {block index: block norm} dict under the seq_norm_B weights
-    weighted = [
-        _block_weight(s, sp, r_weights) * val for s, val in sorted(norms.items())
-    ]
-    return theta_sum(weighted, sp.theta)
+    extra = None if r_weights is None else (
+        lambda s: 2.0 ** sum(sj * rj for sj, rj in zip(s, r_weights))
+    )
+    return _weighted_theta_sum(sorted(norms.items()), sp, _log_weight, extra)
 
 
 def norm_bold_B(
@@ -147,13 +157,7 @@ def _theorem1_cutoffs(f: TrigPoly, nu_max=None) -> tuple[list, list]:
 
 def _theorem1_sum(combos, norms, sp: SmoothParams) -> float:
     # theta-sum of the surrogate norms at combos under weights prod (nu_j + 1)^(b_j)
-    weighted = []
-    for nu, val in zip(combos, norms):
-        w = 1.0
-        for vj, bj in zip(nu, sp.b):
-            w *= (vj + 1.0) ** bj
-        weighted.append(w * float(val))
-    return theta_sum(weighted, sp.theta)
+    return _weighted_theta_sum(zip(combos, norms), sp, _log_weight)
 
 
 def theorem2_rhs(f: TrigPoly, lp: LorentzParams, sp: SmoothParams, shape=None) -> float:
@@ -214,13 +218,9 @@ def _group_norms(f: TrigPoly, lp: LorentzParams, side: str, shape=None) -> tuple
 def _theorem3_sum(norm: float, group_norms: tuple[list, np.ndarray], sp: SmoothParams) -> float:
     # norm plus the theta-sum of the group norms under weights prod 2^(l_j (b_j + 1/theta))
     inv_theta = 0.0 if math.isinf(sp.theta) else 1.0 / sp.theta
-    weighted = []
-    for ls, val in zip(*group_norms):
-        w = 1.0
-        for lj, bj in zip(ls, sp.b):
-            w *= 2.0 ** (lj * (bj + inv_theta))
-        weighted.append(w * float(val))
-    return norm + theta_sum(weighted, sp.theta)
+    return norm + _weighted_theta_sum(
+        zip(*group_norms), sp, lambda lj, bj: 2.0 ** (lj * (bj + inv_theta))
+    )
 
 
 @dataclass(frozen=True)

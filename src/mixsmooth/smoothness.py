@@ -41,6 +41,7 @@ from .core import (
     LorentzParams,
     SmoothParams,
     TrigPoly,
+    _as_int_tuple,
     axis_product,
 )
 from .lorentz import multiplier_norms, poly_norm
@@ -78,6 +79,13 @@ def _step_tuple(t, dim: int) -> tuple[float, ...]:
     if len(t) != dim or any(not (v > 0) for v in t):
         raise InvalidParams(f"steps must be positive per axis, got {t}")
     return t
+
+
+def _level_tuple(nu_max, dim: int) -> tuple[int, ...]:
+    nu_max = _as_int_tuple(nu_max, dim, "nu_max")
+    if any(v < 1 for v in nu_max):
+        raise InvalidParams(f"nu_max must be >= 1 per axis, got {nu_max}")
+    return nu_max
 
 
 def derivative(f: TrigPoly, alpha) -> TrigPoly:
@@ -183,7 +191,7 @@ class ModulusGrid:
     values: np.ndarray
 
     def value_at(self, nu) -> float:
-        nu = tuple(int(v) for v in ((nu,) if np.isscalar(nu) else nu))
+        nu = _as_int_tuple(nu, len(self.nu_max), "nu")
         if any(v < 1 or v > vm for v, vm in zip(nu, self.nu_max)):
             raise InvalidParams(f"nu {nu} outside stored box {self.nu_max}")
         return float(self.values[tuple(v - 1 for v in nu)])
@@ -216,11 +224,7 @@ def modulus_grid(
     by axis.
     """
     k = _order_tuple(k, f.dim)
-    if np.isscalar(nu_max):
-        nu_max = (int(nu_max),) * f.dim
-    nu_max = tuple(int(v) for v in nu_max)
-    if any(v < 1 for v in nu_max):
-        raise InvalidParams(f"nu_max must be >= 1 per axis, got {nu_max}")
+    nu_max = _level_tuple(nu_max, f.dim)
     return _fold_grid(
         f, k, lp, nu_max, h_grid, lambda pts: difference_norms(f, pts, k, lp, shape)
     )
@@ -352,7 +356,7 @@ def _seminorm(
             max(int(n).bit_length() + 3, 5) for n in f.tight_degree()
         )
     else:
-        start = tuple(int(v) for v in ((nu_max,) * f.dim if np.isscalar(nu_max) else nu_max))
+        start = _level_tuple(nu_max, f.dim)
     box = start
     for _ in range(8):
         if grid is None or any(g < v for g, v in zip(grid.nu_max, box)):

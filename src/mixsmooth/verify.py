@@ -26,7 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .approx import direct_approximant
+from .approx import kernel_residual_norm
 from .core import (
     InvalidParams,
     LorentzParams,
@@ -37,7 +37,7 @@ from .core import (
     tensor,
     validate_params,
 )
-from .lorentz import lorentz_norm, poly_norm
+from .lorentz import poly_norm
 from .seqnorms import (
     EmbeddingExponents,
     UncoveredParams,
@@ -376,21 +376,25 @@ _GRID_FLOOR = 16
 class Workspace:
     """Caches per-function quantities of one corpus instance.
 
-    All cache keys carry the defining parameters, so one workspace serves
-    every (p, tau, theta, b) combination of a run without recomputation.
+    Every cache key carries the defining parameters, among them the frozen
+    LorentzParams and SmoothParams objects themselves, so one workspace
+    serves every (p, tau, theta, b) combination of a run without
+    recomputation.
 
-    Difference norms live in one memo per (member, p, tau, k, grid shape),
-    where a member is a fid or, for lemma1_subadd, a pair of fids standing
-    for their sum.  It holds the exact step vectors h it has seen, as sorted
-    byte keys, and their norms, as two numpy arrays.  Every modulus quantity
-    (mod_grid, modulus, the seminorm's grown tables, the subadd maxima) reads
-    its step lattice through step_norms, which evaluates only the rows not
-    yet in the memo, in one difference_norms batch.  A row's norm does not
-    depend on its batch, so each quantity has the bits of its fresh build.
+    Per-row quantities live in row memos kept by _rows: difference norms
+    per (member, p, tau, k), by exact step vector h, where a member is a fid
+    or, for lemma1_subadd, a pair of fids standing for their sum; and cutoff
+    residual norms per (fid, p, tau), by exact cutoff vector l.  A member's
+    grid shape is fixed, so no key needs it.  A memo holds the rows it has
+    seen, as sorted byte keys, and their values, as two numpy arrays; a
+    request evaluates only its rows not yet in the memo, in one batch.
+    Every modulus quantity (mod_grid, modulus, the seminorm's grown tables,
+    the subadd maxima) reads its steps through step_norms, every cutoff sum
+    its residuals through y_values.  A row's norm does not depend on its
+    batch, so each quantity has the bits of its fresh build.
 
-    Threads may share a workspace: each cache key, each memo entry and each
-    (fid, p, tau) set of cutoff norms is built under its own lock, so it is
-    built once and never read half-built.
+    Threads may share a workspace: each cache key and each memo is built
+    under its own lock, so it is built once and never read half-built.
     """
 
     def __init__(self, corpus: Corpus, config: VerifyConfig):
@@ -398,6 +402,8 @@ class Workspace:
         self.config = config
         self._cache: dict[tuple, object] = {}
         self._polys = {cf.fid: cf.poly for cf in corpus}
+        # tight_degree scans every coefficient, so each member's is found once
+        self._tight = {cf.fid: cf.poly.tight_degree() for cf in corpus}
         self._memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._locks: dict[tuple, threading.Lock] = {}
         self._lock = threading.Lock()
@@ -409,13 +415,19 @@ class Workspace:
         f, g = member
         return self._get(("sum", member), lambda: self._polys[f] + self._polys[g])
 
+    def tight_degree(self, fid: str) -> tuple[int, ...]:
+        return self._tight[fid]
+
     def shape(self, member) -> tuple[int, ...]:
-        key = ("shape", member)
-        return self._get(key, lambda: _pow2_grid(self.poly(member).degree, _GRID_FLOOR))
+        return _pow2_grid(self.poly(member).degree, _GRID_FLOOR)
 
     def _key_lock(self, key) -> threading.Lock:
-        with self._lock:
-            return self._locks.setdefault(key, threading.Lock())
+        # a dict read is atomic; only creating a key's lock needs self._lock
+        lock = self._locks.get(key)
+        if lock is None:
+            with self._lock:
+                lock = self._locks.setdefault(key, threading.Lock())
+        return lock
 
     def _get(self, key, builder):
         # once per key: a thread that finds the key being built waits for it
@@ -428,85 +440,79 @@ class Workspace:
                 self._cache[key] = builder()
         return self._cache[key]
 
-    @staticmethod
-    def _lp_key(lp: LorentzParams):
-        return (lp.p, lp.tau)
+    def _rows(self, key, params, evaluate) -> np.ndarray:
+        """evaluate at each row of the 2-D params, in order; each new row once.
 
-    @staticmethod
-    def _sp_key(sp: SmoothParams):
-        return (sp.theta, sp.b, sp.k)
+        evaluate(rows) gets the rows missing from the memo of key, without
+        repeats, in one call, and returns one float per row.
+        """
+        params = np.ascontiguousarray(params, dtype=np.float64)
+        rows = params.view(f"V{params.itemsize * params.shape[1]}").ravel()
+        with self._key_lock(key):
+            keys, values = self._memo.get(key) or (rows[:0], np.empty(0))
+            at = keys.searchsorted(rows)
+            if keys.size:
+                found = keys.take(at, mode="clip") == rows
+            else:
+                found = np.zeros(rows.size, dtype=bool)
+            if np.count_nonzero(found) < rows.size:
+                missing = ~found
+                new, first = np.unique(rows[missing], return_index=True)
+                got = evaluate(params[missing][first])
+                where = keys.searchsorted(new)
+                keys, values = np.insert(keys, where, new), np.insert(values, where, got)
+                self._memo[key] = (keys, values)
+                at = keys.searchsorted(rows)
+            return values[at]
 
     def step_norms(self, member, lp: LorentzParams, k: tuple, h) -> np.ndarray:
         """Norms of Delta_h^k of a member for the rows of h, each row evaluated once."""
         k = tuple(int(v) for v in k)
-        key = ("steps", member, self._lp_key(lp), k, self.shape(member))
-        h = np.ascontiguousarray(h, dtype=np.float64)
-        rows = h.view(np.dtype((np.void, h.itemsize * h.shape[1]))).ravel()
-        with self._key_lock(key):
-            keys, norms = self._memo.get(key, (rows[:0], np.empty(0)))
-            at = _memo_positions(keys, rows)
-            missing = at < 0
-            if missing.any():
-                new, first = np.unique(rows[missing], return_index=True)
-                got = difference_norms(
-                    self.poly(member), h[missing][first], k, lp, self.shape(member)
-                )
-                where = np.searchsorted(keys, new)
-                keys, norms = np.insert(keys, where, new), np.insert(norms, where, got)
-                self._memo[key] = (keys, norms)
-                at = _memo_positions(keys, rows)
-            return norms[at]
+        return self._rows(
+            ("steps", member, lp, k), h,
+            lambda rows: difference_norms(self.poly(member), rows, k, lp, self.shape(member)),
+        )
 
     def norm(self, fid: str, lp: LorentzParams) -> float:
-        key = ("norm", fid, self._lp_key(lp))
+        key = ("norm", fid, lp)
         return self._get(key, lambda: poly_norm(self.poly(fid), lp, self.shape(fid)))
 
     def deriv_norm(self, fid: str, lp: LorentzParams, alpha: tuple[int, ...]) -> float:
-        key = ("deriv", fid, self._lp_key(lp), tuple(alpha))
+        key = ("deriv", fid, lp, tuple(alpha))
         return self._get(
             key, lambda: poly_norm(derivative(self.poly(fid), alpha), lp, self.shape(fid))
         )
 
     def block_norms(self, fid: str, lp: LorentzParams) -> dict:
-        key = ("blocks", fid, self._lp_key(lp))
+        key = ("blocks", fid, lp)
         return self._get(key, lambda: block_norms(self.poly(fid), lp, self.shape(fid)))
 
     def tails(self, fid: str, lp: LorentzParams) -> np.ndarray:
-        key = ("tails", fid, self._lp_key(lp))
+        key = ("tails", fid, lp)
         return self._get(key, lambda: tail_square_norms(self.poly(fid), lp, self.shape(fid)))
 
     def y_values(self, fid: str, lp: LorentzParams, cutoffs) -> list[float]:
-        """Angle residual norms at each cutoff, in order; missing ones in one batch."""
-        lpk = self._lp_key(lp)
-        keys = [("y", fid, lpk, tuple(float(c) for c in l)) for l in cutoffs]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
-        if missing:
-            with self._key_lock(("y", fid, lpk)):
-                missing = [key for key in missing if key not in self._cache]
-                if missing:
-                    norms = angle_residual_norms(
-                        self.poly(fid), [key[3] for key in missing], lp, self.shape(fid)
-                    )
-                    for key, value in zip(missing, norms):
-                        self._cache[key] = float(value)
-        return [self._cache[key] for key in keys]
+        """Angle residual norms at each cutoff, in order, as floats; each evaluated once."""
+        f = self.poly(fid)
+        l = np.array(cutoffs, dtype=np.float64).reshape(-1, f.dim)
+        norms = self._rows(
+            ("y", fid, lp), l, lambda rows: angle_residual_norms(f, rows, lp, self.shape(fid))
+        )
+        return norms.tolist()
 
     def y_at(self, fid: str, lp: LorentzParams, cutoff: tuple) -> float:
         """y_values at one cutoff."""
         return self.y_values(fid, lp, [cutoff])[0]
 
     def kernel_residual(self, fid: str, lp: LorentzParams, l: tuple, k: tuple) -> float:
-        key = ("kres", fid, self._lp_key(lp), tuple(l), tuple(k))
-
-        def build():
-            f = self.poly(fid)
-            return lorentz_norm(f - direct_approximant(f, l, k), lp, self.shape(fid))
-
-        return self._get(key, build)
+        key = ("kres", fid, lp, tuple(l), tuple(k))
+        return self._get(
+            key, lambda: kernel_residual_norm(self.poly(fid), l, lp, k, self.shape(fid))
+        )
 
     def _grid(self, fid: str, lp: LorentzParams, k: tuple, box: tuple) -> ModulusGrid:
         # modulus_grid(f, k, lp, box), its lattice read through the memo
-        key = ("mgrid", fid, self._lp_key(lp), tuple(k), box)
+        key = ("mgrid", fid, lp, tuple(k), box)
 
         def build():
             return _fold_grid(
@@ -517,16 +523,13 @@ class Workspace:
         return self._get(key, build)
 
     def mod_grid(self, fid: str, lp: LorentzParams, k: tuple) -> ModulusGrid:
-        box = self._get(
-            ("box", fid),
-            lambda: tuple(max(int(n).bit_length() + 6, 8) for n in self.poly(fid).tight_degree()),
-        )
+        box = tuple(max(int(n).bit_length() + 6, 8) for n in self._tight[fid])
         return self._grid(fid, lp, k, box)
 
     def modulus(self, fid: str, lp: LorentzParams, k: tuple, t: tuple) -> float:
         # mixed_modulus(f, t, k, lp, refine=False) on the memo
         t = tuple(float(v) for v in t)
-        key = ("mod", fid, self._lp_key(lp), tuple(k), t)
+        key = ("mod", fid, lp, tuple(k), t)
 
         def build():
             steps = _step_lattice(t, self.config.h_grid)
@@ -536,7 +539,7 @@ class Workspace:
 
     def semi(self, fid: str, lp: LorentzParams, sp: SmoothParams):
         # log_modulus_seminorm(f, sp, lp, grid=mod_grid), grown boxes from the memo
-        key = ("semi", fid, self._lp_key(lp), self._sp_key(sp))
+        key = ("semi", fid, lp, sp)
 
         def build():
             return _seminorm(
@@ -550,11 +553,11 @@ class Workspace:
         return self.norm(fid, lp) + self.semi(fid, lp, sp).value
 
     def seq_norm(self, fid: str, lp: LorentzParams, sp: SmoothParams) -> float:
-        key = ("seqB", fid, self._lp_key(lp), self._sp_key(sp))
+        key = ("seqB", fid, lp, sp)
         return self._get(key, lambda: _weighted_block_sum(self.block_norms(fid, lp), sp))
 
     def thm1_rhs(self, fid: str, lp: LorentzParams, sp: SmoothParams) -> float:
-        key = ("t1rhs", fid, self._lp_key(lp), self._sp_key(sp))
+        key = ("t1rhs", fid, lp, sp)
 
         def build():
             combos, cutoffs = _theorem1_cutoffs(self.poly(fid))
@@ -563,30 +566,22 @@ class Workspace:
         return self._get(key, build)
 
     def thm2_rhs(self, fid: str, lp: LorentzParams, sp: SmoothParams) -> float:
-        key = ("t2rhs", fid, self._lp_key(lp), self._sp_key(sp))
+        key = ("t2rhs", fid, lp, sp)
         return self._get(
             key, lambda: _theorem2_sum(self.norm(fid, lp), self.tails(fid, lp), sp)
         )
 
     def thm3(self, fid: str, lp: LorentzParams, sp: SmoothParams, side: str) -> float:
-        key = ("t3", fid, self._lp_key(lp), self._sp_key(sp), side)
+        key = ("t3", fid, lp, sp, side)
 
         def build():
             groups = self._get(
-                ("groups", fid, self._lp_key(lp), side),
+                ("groups", fid, lp, side),
                 lambda: _group_norms(self.poly(fid), lp, side, self.shape(fid)),
             )
             return _theorem3_sum(self.norm(fid, lp), groups, sp)
 
         return self._get(key, build)
-
-
-def _memo_positions(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index of each row in the sorted keys, or -1 where it is absent."""
-    if keys.size == 0:
-        return np.full(rows.size, -1, dtype=np.intp)
-    at = np.minimum(np.searchsorted(keys, rows), keys.size - 1)
-    return np.where(keys[at] == rows, at, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +593,12 @@ def _diag(t: float, dim: int) -> tuple[float, ...]:
     return (float(t),) * dim
 
 
-def _dyadic_cutoff_levels(dim: int, max_degree: int) -> list[tuple[float, ...]]:
-    out = []
-    l = 1
-    while l <= max_degree:
-        out.append((float(l),) * dim)
+def _dyadic_levels(l_min: int, l_max: int) -> list[int]:
+    """The dyadic angle cutoffs l = 1, 3, 7, ..., 2^s - 1 within [l_min, l_max]."""
+    out, l = [], 1
+    while l <= l_max:
+        if l >= l_min:
+            out.append(l)
         l = 2 * l + 1
     return out
 
@@ -670,7 +666,7 @@ def _check_lemma1_deriv(corpus, lp, sp, cfg, ws: Workspace):
 def _check_lemma2_bernstein(corpus, lp, sp, cfg, ws: Workspace):
     rows = []
     for cf in corpus:
-        n = cf.poly.tight_degree()
+        n = ws.tight_degree(cf.fid)
         lhs = ws.deriv_norm(cf.fid, lp, sp.k)
         rhs = float(np.prod([(nj + 1.0) ** kj for nj, kj in zip(n, sp.k)])) * ws.norm(
             cf.fid, lp
@@ -682,21 +678,21 @@ def _check_lemma2_bernstein(corpus, lp, sp, cfg, ws: Workspace):
 def _check_lemma3_sandwich(corpus, lp, sp, cfg, ws: Workspace):
     rows = []
     for cf in corpus:
-        levels = _dyadic_cutoff_levels(cf.poly.dim, max(cf.poly.tight_degree()))
+        levels = [(l,) * cf.poly.dim for l in _dyadic_levels(1, max(ws.tight_degree(cf.fid)))]
         for l, lhs in zip(levels, ws.y_values(cf.fid, lp, levels)):
-            rhs = ws.kernel_residual(cf.fid, lp, tuple(int(v) for v in l), sp.k)
-            rows.append(RatioRow(f"{cf.fid}@l={int(l[0])}", lhs, rhs))
+            rhs = ws.kernel_residual(cf.fid, lp, l, sp.k)
+            rows.append(RatioRow(f"{cf.fid}@l={l[0]}", lhs, rhs))
     return rows, {}
 
 
 def _check_lemma4_direct(corpus, lp, sp, cfg, ws: Workspace):
     rows = []
     for cf in corpus:
-        levels = _dyadic_cutoff_levels(cf.poly.dim, max(cf.poly.tight_degree()))
+        levels = [(l,) * cf.poly.dim for l in _dyadic_levels(1, max(ws.tight_degree(cf.fid)))]
         for l, lhs in zip(levels, ws.y_values(cf.fid, lp, levels)):
             t = tuple(1.0 / (v + 1.0) for v in l)
             rhs = ws.modulus(cf.fid, lp, sp.k, t)
-            rows.append(RatioRow(f"{cf.fid}@l={int(l[0])}", lhs, rhs))
+            rows.append(RatioRow(f"{cf.fid}@l={l[0]}", lhs, rhs))
     return rows, {}
 
 
@@ -705,7 +701,7 @@ def _check_lemma5_inverse(corpus, lp, sp, cfg, ws: Workspace):
     for cf in corpus:
         dim = cf.poly.dim
         for n in (3, 7):
-            if n > max(cf.poly.tight_degree()):
+            if n > max(ws.tight_degree(cf.fid)):
                 continue
             lhs = ws.modulus(cf.fid, lp, sp.k, _diag(1.0 / (n + 1.0), dim))
             nus = list(np.ndindex(*([n + 1] * dim)))
@@ -983,12 +979,9 @@ def run_check(
     stability = None
     notes = []
     if corpus_based and config.stability:
-        doubled = (
-            doubled_workspace.corpus
-            if doubled_workspace is not None
-            else generate_corpus(corpus.seed, corpus.dim, corpus.max_degree * 2)
+        ws2 = doubled_workspace or Workspace(
+            generate_corpus(corpus.seed, corpus.dim, corpus.max_degree * 2), config
         )
-        ws2 = doubled_workspace if doubled_workspace is not None else Workspace(doubled, config)
         rows2, _ = body(ws2.corpus, lp, sp, config, ws2)
         stats2, zz2, fail2 = _row_stats(rows2)
         growth = None

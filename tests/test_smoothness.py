@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsmooth import smoothness
-from mixsmooth.core import LorentzParams, SmoothParams, TrigPoly, cosine, evaluate_on_grid, tensor
+from mixsmooth.core import (
+    InvalidParams,
+    LorentzParams,
+    SmoothParams,
+    TrigPoly,
+    cosine,
+    evaluate_on_grid,
+    tensor,
+)
 from mixsmooth.lorentz import poly_norm
 from mixsmooth.smoothness import (
     TailNotConverged,
@@ -283,6 +291,23 @@ def test_modulus_grid_2d_monotone_both_axes():
     v = grid.values
     assert np.all(v[:-1, :] >= v[1:, :])
     assert np.all(v[:, :-1] >= v[:, 1:])
+
+
+def test_malformed_nu_max_raises_invalid_params():
+    # a one-entry level vector on a 2-D function is a configuration error
+    f = tensor(cosine(3), cosine(2))
+    with pytest.raises(InvalidParams, match="nu_max"):
+        modulus_grid(f, 1, L2, (3,))
+    with pytest.raises(InvalidParams, match="nu_max"):
+        log_modulus_seminorm(f, SmoothParams(1.0, (0.0, 0.0)), L2, nu_max=(3,))
+    grid = modulus_grid(f, 1, L2, (3, 3), h_grid=5)
+    with pytest.raises(InvalidParams, match="nu"):
+        grid.value_at((1,))
+    assert grid.value_at((1, 2)) == grid.values[0, 1]
+    # a level below 1 is rejected also when a precomputed grid is passed
+    for bad in (0, -1):
+        with pytest.raises(InvalidParams, match="nu_max"):
+            log_modulus_seminorm(f, SmoothParams(1.0, (0.0, 0.0)), L2, nu_max=bad, grid=grid)
 
 
 # --- log-weighted seminorm ------------------------------------------------

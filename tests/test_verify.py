@@ -348,6 +348,33 @@ def test_cutoffs_and_tails_evaluated_once_per_key(small_corpus, monkeypatch, thr
     }
 
 
+def test_row_memo_evaluates_each_new_row_once_in_request_order(small_corpus):
+    ws = Workspace(small_corpus, VerifyConfig(stability=False))
+    calls = []
+
+    def evaluate(rows):
+        calls.append(sorted(map(tuple, rows.tolist())))
+        return rows[:, 0] * 10.0 + rows[:, 1]
+
+    first = ws._rows(("test",), [[2.0, 1.0], [0.0, 3.0], [2.0, 1.0], [0.0, 3.0]], evaluate)
+    assert first.tolist() == [21.0, 3.0, 21.0, 3.0]
+    second = ws._rows(("test",), [[5.0, 0.0], [2.0, 1.0], [5.0, 0.0], [1.0, 1.0]], evaluate)
+    assert second.tolist() == [50.0, 21.0, 50.0, 11.0]
+    assert ws._rows(("test",), [[1.0, 1.0], [0.0, 3.0]], evaluate).tolist() == [11.0, 3.0]
+    assert calls == [[(0.0, 3.0), (2.0, 1.0)], [(1.0, 1.0), (5.0, 0.0)]]
+    # another key keeps its own rows
+    assert ws._rows(("other",), [[2.0, 1.0]], evaluate).tolist() == [21.0]
+    assert calls[2:] == [[(2.0, 1.0)]]
+
+    fid = small_corpus.functions[0].fid
+    cutoffs = [(3,), (1,), (3,)]
+    ys = ws.y_values(fid, LP, cutoffs)
+    assert all(type(y) is float for y in ys)
+    assert ys == angle_residual_norms(
+        small_corpus.functions[0].poly, cutoffs, LP, ws.shape(fid)
+    ).tolist()
+
+
 @pytest.mark.parametrize("dim, degree", [(1, 8), (2, 4)])
 def test_shared_workspace_reports_equal_fresh_workspace_reports(dim, degree):
     # one Workspace serving every (p, tau) and three (theta, b), regrowth
