@@ -62,6 +62,13 @@ def _as_float_tuple(value, dim: int, name: str) -> tuple[float, ...]:
     return out
 
 
+def _store_hash(params, fields: tuple) -> None:
+    # Parameter objects key every Workspace cache and the step-weight cache,
+    # and equal objects are built afresh on every check, so each object
+    # hashes its fields once, to the value the dataclass hash would give.
+    object.__setattr__(params, "_hash", hash(fields))
+
+
 @dataclass(frozen=True)
 class LorentzParams:
     """Exponent pair (p, tau) of the Lorentz norm, 1 < p < inf, 1 <= tau < inf."""
@@ -74,6 +81,10 @@ class LorentzParams:
             raise InvalidParams(f"p must lie in (1, inf), got {self.p}")
         if not (1.0 <= self.tau < math.inf):
             raise InvalidParams(f"tau must lie in [1, inf), got {self.tau}")
+        _store_hash(self, (self.p, self.tau))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,10 @@ class SmoothParams:
         object.__setattr__(self, "b", _as_float_tuple(b, dim, "b"))
         object.__setattr__(self, "k", _as_int_tuple(k, dim, "k"))
         self._validate()
+        _store_hash(self, (self.theta, self.b, self.k))
+
+    def __hash__(self):
+        return self._hash
 
     def _validate(self):
         if not (0.0 < self.theta):
@@ -142,9 +157,18 @@ class TrigPoly:
         a_{-k} == conj(a_k) is verified at construction.  Default: detect.
     allow_large : bool, optional
         Accept degrees above the performance guard (128 per axis).
+
+    Attributes
+    ----------
+    factors : tuple of ndarray or None
+        For a product of one-axis polynomials built by `tensor`, the one-axis
+        coefficient vectors in axis order, with coeffs equal to
+        axis_product(factors) bit for bit; the norms sample such a polynomial
+        one axis at a time.  None for every other polynomial: the
+        constructor, arithmetic, apply_multiplier and loads set no factors.
     """
 
-    __slots__ = ("dim", "degree", "coeffs", "real")
+    __slots__ = ("dim", "degree", "coeffs", "real", "factors")
 
     def __init__(self, dim, degree, coeffs, real=None, allow_large=False):
         dim = int(dim)
@@ -173,6 +197,7 @@ class TrigPoly:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "real", bool(real))
+        object.__setattr__(self, "factors", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TrigPoly is immutable")
@@ -360,19 +385,30 @@ def cosine(freq: int, amplitude: float = 1.0) -> TrigPoly:
 
 
 def tensor(*factors: TrigPoly) -> TrigPoly:
-    """Tensor product of one-axis (or lower-dim) polynomials: f(x) = prod f_i(x_i)."""
+    """Tensor product of one-axis (or lower-dim) polynomials: f(x) = prod f_i(x_i).
+
+    A factor that is itself a product of one-axis polynomials enters as its
+    one-axis factors, so nested products flatten.  When every factor is
+    one-axis or such a product, the result records the one-axis coefficient
+    vectors in `factors`; its coeffs are their product in axis order, which
+    is axis_product(factors) bit for bit.
+    """
     if not factors:
         raise InvalidParams("tensor needs at least one factor")
     dim = sum(f.dim for f in factors)
     degree = tuple(n for f in factors for n in f.degree)
-    coeffs = factors[0].coeffs
-    for f in factors[1:]:
+    pieces = [c for f in factors for c in (f.factors or (f.coeffs,))]
+    coeffs = pieces[0]
+    for piece in pieces[1:]:
         # broadcasting ufunc multiply, not tensordot: BLAS complex products
         # are Hermitian only to rounding, which would break the exact
         # symmetry check for real factors
-        coeffs = coeffs[(...,) + (None,) * f.coeffs.ndim] * f.coeffs
+        coeffs = coeffs[(...,) + (None,) * piece.ndim] * piece
     real = all(f.real for f in factors)
-    return TrigPoly(dim, degree, coeffs, real=real if real else None, allow_large=True)
+    out = TrigPoly(dim, degree, coeffs, real=real if real else None, allow_large=True)
+    if all(piece.ndim == 1 for piece in pieces):
+        object.__setattr__(out, "factors", tuple(pieces))
+    return out
 
 
 def _pow2_grid(degree, floor: int) -> tuple[int, ...]:

@@ -10,21 +10,36 @@ with f* the absolute values sorted in non-increasing order, so no quadrature
 is involved.  At tau = p the bracket telescopes to 1/M and the value is the
 plain discrete L_p norm.
 
-Every norm goes through one pipeline.  Coefficient tensors are sampled by
-evaluate_coeff_batch, which picks the real or complex FFT path per row: a
-single polynomial as a one-row batch, a stack of tensor-multiplier images of
-one polynomial (multiplier_norms, and the square functions of
-spectral.tail_square_norms) by one chunk loop that bounds the samples held
-at once.  That loop drops the all-zero rows of each chunk (difference steps
-with some h_j = 0, cutoffs past the spectrum) before sampling them;
-multiplier_norms gives them the norm +0.0, which is what batch_norms returns
-for a zero row.  batch_norms reduces the rows in one float64 buffer per
-chunk: the samples' absolute values are powered, negated and sorted in
-place, and multiplied by the negated step weights, computed once per
-(size, p, tau).  Every row sum is numpy's pairwise sum of that row alone, so
-a norm has the same bits alone as in any batch, chunking or BLAS thread
-count.  lorentz_norm_sorted is the closed form above on pre-sorted rows,
-kept as the reference the tests compare with.
+Norms are sampled on one of two paths and reduced by one.
+
+- The m-dimensional path samples coefficient tensors with
+  evaluate_coeff_batch, which picks the real or complex FFT path per row: a
+  single polynomial as a one-row batch, and a stack of tensor-multiplier
+  images of one polynomial (multiplier_norms, and the square functions of
+  spectral.tail_square_norms) in one chunk loop that bounds the samples held
+  at once.
+- The per-axis path serves a product of one-axis polynomials, one whose
+  TrigPoly.factors is set.  Every multiplier the package applies (mixed
+  difference factors, dyadic block masks, cutoff residual masks) is a
+  product of one-axis factors, so each row is a tensor product of one-axis
+  rows f_j * factor_j.  Each axis is sampled by a 1-D evaluate_coeff_batch
+  (the FFT path still chosen per row) and powered by tau, and the outer
+  product of the powered rows (axis_product) is formed in the same chunks.
+  The product of the per-axis powers rounds differently from the power of
+  the m-dimensional samples, so the two paths agree to a few ulps, not bit
+  for bit.  The input property f.factors chooses the path; there is no
+  option.
+
+On both paths a row that is all zero (a difference step with some h_j = 0, a
+cutoff past the spectrum) is not sampled, and its norm is +0.0, which is what
+the reduction returns for a zero row.  The reduction is shared: the
+m-dimensional path powers the samples' absolute values by tau (batch_norms),
+and then rows of |x|^tau are negated and sorted in place and multiplied by
+the negated step weights, computed once per (size, p, tau)
+(_reduce_powered).  Every row sum is numpy's pairwise sum of that row alone,
+so on either path a norm has the same bits alone as in any batch, chunking
+or BLAS thread count.  lorentz_norm_sorted is the closed form above on
+pre-sorted rows, kept as the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -57,6 +72,7 @@ __all__ = [
 # point); a real-path chunk holds float64 samples (8 B per point) plus an
 # (n_m + 1)-wide complex half spectrum.  The abs, power and sort steps share
 # one float64 copy.  Twice the rows per chunk ran verify slower, not faster.
+# A per-axis chunk takes the same number of rows, as one float64 outer product.
 _CHUNK_BYTES = 4_000_000
 
 
@@ -102,20 +118,81 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
     """Lorentz norms of a stack of unsorted sample rows, shape (B, M) -> (B,).
 
     The whole reduction runs in the one float64 copy that np.abs makes, so
-    values is left as it was: |x| -> |x|^tau -> -|x|^tau -> ascending sort ->
-    row sums of the products with the negated step weights.  Powering before
-    sorting keeps the order because x -> x^tau is increasing; negation is
-    exact, so the ascending sort of -|x|^tau is the non-increasing
-    rearrangement of |x|^tau negated, and (-a)(-w) = a w makes every product
-    and partial sum equal those of lorentz_norm_sorted on the rearranged rows.
-    Rows may be real or complex.
+    values is left as it was: |x| -> |x|^tau, then _reduce_powered.  Rows
+    may be real or complex.
     """
     arr = np.abs(values).astype(np.float64, copy=False)
     np.power(arr, lp.tau, out=arr)
+    return _reduce_powered(arr, lp)
+
+
+def _reduce_powered(arr: np.ndarray, lp: LorentzParams) -> np.ndarray:
+    """Norms of rows of |x|^tau, shape (B, M) -> (B,); arr is overwritten.
+
+    -|x|^tau -> ascending sort -> row sums of the products with the negated
+    step weights -> 1/tau power.  Powering before sorting keeps the order
+    because x -> x^tau is increasing; negation is exact, so the ascending
+    sort of -|x|^tau is the non-increasing rearrangement of |x|^tau negated,
+    and (-a)(-w) = a w makes every product and partial sum equal those of
+    lorentz_norm_sorted on the rearranged rows.
+    """
     np.negative(arr, out=arr)
     arr.sort(axis=-1)
     acc = _weighted_row_sums(arr, _negated_step_weights(arr.shape[-1], lp))
     return acc ** (1.0 / lp.tau)
+
+
+def _chunk_rows(shape) -> int:
+    """Rows per chunk: at most _CHUNK_BYTES of complex128 samples on `shape`."""
+    return max(1, _CHUNK_BYTES // (16 * int(np.prod(shape))))
+
+
+def _axis_powers(n: int, coeff_rows: np.ndarray, N: int, power: float) -> np.ndarray:
+    """|samples|^power of one-axis coefficient rows on N points, shape (B, N).
+
+    coeff_rows has shape (B, 2 n + 1).  The nonzero rows are sampled in one
+    evaluate_coeff_batch call; an all-zero row is not sampled and gives zeros.
+    """
+    out = np.zeros((len(coeff_rows), N))
+    live = coeff_rows.any(axis=1)
+    if live.any():
+        out[live] = evaluate_coeff_batch((n,), coeff_rows[live], (N,))
+    return np.power(out, power, out=out)
+
+
+def _outer_norms(tables, lp: LorentzParams) -> np.ndarray:
+    """Norms of rows given one axis at a time as |samples|^tau, shape (B,).
+
+    tables[j] has shape (B, N_j); row b is the outer product of the
+    tables[j][b], formed by axis_product in chunks of _chunk_rows rows and
+    reduced by _reduce_powered, which may overwrite the tables.
+    """
+    count = len(tables[0])
+    chunk = _chunk_rows([t.shape[1] for t in tables])
+    norms = np.empty(count)
+    for start in range(0, count, chunk):
+        outer = axis_product([t[start : start + chunk] for t in tables])
+        norms[start : start + chunk] = _reduce_powered(outer.reshape(len(outer), -1), lp)
+    return norms
+
+
+def _tensor_norms(degree, axis_rows, lp: LorentzParams, shape) -> np.ndarray:
+    """Lorentz norms of tensor products of one-axis coefficient rows, shape (B,).
+
+    axis_rows[j] has shape (B, 2 n_j + 1); row b is the tensor product of
+    the axis_rows[j][b].  Since |prod_j g_j| = prod_j |g_j|, each axis is
+    sampled on N_j points by a 1-D evaluate_coeff_batch and powered by tau;
+    only the outer products, formed by _outer_norms, span the whole grid.
+    A row that is zero on some axis is not sampled; its norm is +0.0.
+    """
+    live = np.flatnonzero(np.logical_and.reduce([r.any(axis=1) for r in axis_rows]))
+    norms = np.zeros(len(axis_rows[0]))
+    if live.size:
+        tables = [
+            _axis_powers(n, r[live], N, lp.tau) for r, n, N in zip(axis_rows, degree, shape)
+        ]
+        norms[live] = _outer_norms(tables, lp)
+    return norms
 
 
 def _sample_chunks(f: TrigPoly, stacks, shape):
@@ -130,7 +207,7 @@ def _sample_chunks(f: TrigPoly, stacks, shape):
     call.
     """
     count = len(stacks[0])
-    chunk = max(1, _CHUNK_BYTES // (16 * int(np.prod(shape))))
+    chunk = _chunk_rows(shape)
     for start in range(0, count, chunk):
         batch = f.coeffs * axis_product([fac[start : start + chunk] for fac in stacks])
         rows = np.flatnonzero(batch.reshape(len(batch), -1).any(axis=1))
@@ -142,16 +219,22 @@ def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.
     """Lorentz norms of a stack of tensor-multiplier images of f, shape (B,).
 
     factors holds one entry per axis: a 1-D factor shared by every row, or a
-    (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b];
-    the rows are sampled on `shape` in chunks that bound the FFT memory, and
-    each chunk is reduced by batch_norms as soon as it is sampled.  An
-    all-zero row is not sampled; its norm is +0.0.
+    (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b].
+    When f.factors is set (a product of one-axis polynomials), row b is the
+    tensor product of the one-axis rows f.factors[j] * factors[j][b], which
+    are sampled one axis at a time (_tensor_norms).  Otherwise the rows are
+    sampled on `shape` in chunks that bound the FFT memory, and each chunk
+    is reduced by batch_norms as soon as it is sampled.  The two paths agree
+    to a few ulps.  An all-zero row is not sampled; its norm is +0.0.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
     factors = [np.atleast_2d(fac) for fac in factors]
     (count,) = np.broadcast_shapes(*(fac.shape[:-1] for fac in factors))
     stacks = [np.broadcast_to(fac, (count, fac.shape[-1])) for fac in factors]
+    if f.factors is not None:
+        axis_rows = [fac * stack for fac, stack in zip(f.factors, stacks)]
+        return _tensor_norms(f.degree, axis_rows, lp, _as_int_tuple(shape, f.dim, "shape"))
     norms = np.zeros(count)
     for rows, values in _sample_chunks(f, stacks, shape):
         norms[rows] = batch_norms(values, lp)
@@ -162,15 +245,19 @@ def lorentz_norm(obj, lp: LorentzParams, shape=None) -> float:
     """Lorentz (p, tau) norm of a polynomial or of an array of samples.
 
     A TrigPoly is sampled on `shape` (default: default_grid_shape, never
-    below the alias-free bound) as a one-row evaluate_coeff_batch; an array
-    of real or complex samples is taken as one row.  Either way batch_norms
-    reduces the row, so a polynomial's norm has the same bits alone as in
-    any batch.
+    below the alias-free bound) as a one-row evaluate_coeff_batch, or one
+    axis at a time when obj.factors is set, as in multiplier_norms; an array
+    of real or complex samples is taken as one row.  Either way the row is
+    reduced as in batch_norms, so a polynomial's norm has the same bits alone
+    as in any batch.
     """
     if isinstance(obj, TrigPoly):
         if shape is None:
             shape = default_grid_shape(obj.dim, obj.degree)
         shape = _as_int_tuple(shape, obj.dim, "shape")
+        if obj.factors is not None:
+            rows = [fac[None] for fac in obj.factors]
+            return float(_tensor_norms(obj.degree, rows, lp, shape)[0])
         values = evaluate_coeff_batch(obj.degree, obj.coeffs[None], shape)
     elif isinstance(obj, np.ndarray):
         values = obj.reshape(1, -1)

@@ -21,10 +21,11 @@ from .core import (
     InvalidParams,
     LorentzParams,
     TrigPoly,
+    _as_int_tuple,
     axis_product,
     default_grid_shape,
 )
-from .lorentz import _sample_chunks, batch_norms, multiplier_norms
+from .lorentz import _axis_powers, _outer_norms, _sample_chunks, batch_norms, multiplier_norms
 
 __all__ = [
     "BlockIndex",
@@ -234,12 +235,22 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
     for nu_j in 1..smax_j.  Every nonzero block is evaluated once, in the
     chunks of lorentz._sample_chunks, and squared into the block lattice; the
     tails are suffix sums of those squares over the lattice, formed in place.
+
+    When f.factors is set (f = f_1 x ... x f_m), the blocks factor too, and
+
+        sum_{s >= nu} |delta_s(f)|^2 = prod_j T_j(nu_j),
+        T_j(nu_j) = sum_{s_j >= nu_j} |delta_{s_j}(f_j)|^2,
+
+    so m one-axis suffix tables replace the lattice of squares (_tensor_tails)
+    and the values agree with the lattice path to a few ulps.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
     smax = max_block_index(f)
     if any(v == 0 for v in smax):
         raise InvalidParams("tail norms need a nonzero spectrum on every axis")
+    if f.factors is not None:
+        return _tensor_tails(f, smax, lp, _as_int_tuple(shape, f.dim, "shape"))
     pos, masks = _nonzero_rows(f, _block_tables(f))
     # empty blocks sample to exact zeros, so only nonzero ones are evaluated
     squares = np.zeros(smax + (int(np.prod(shape)),), dtype=np.float64)
@@ -253,6 +264,24 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
             view[i] += view[i + 1]
     flat = squares.reshape(-1, squares.shape[-1])
     return batch_norms(np.sqrt(flat, out=flat), lp).reshape(smax)
+
+
+def _tensor_tails(f: TrigPoly, smax, lp: LorentzParams, shape) -> np.ndarray:
+    """tail_square_norms of a product of one-axis polynomials, from per-axis tables.
+
+    Axis j holds T_j(nu_j)^(tau/2) for nu_j = 1..smax_j on its N_j points, so
+    the outer product of the rows at nu is the square-function tail at nu
+    powered by tau, which _outer_norms reduces.
+    """
+    tables = []
+    for fac, masks, n, N in zip(f.factors, _block_tables(f), f.degree, shape):
+        sums = _axis_powers(n, fac * masks, N, 2.0)
+        # suffix sums in place, as in the lattice path
+        for i in range(len(sums) - 2, -1, -1):
+            sums[i] += sums[i + 1]
+        tables.append(np.power(sums, lp.tau / 2.0, out=sums))
+    pos = np.indices(smax).reshape(f.dim, -1)
+    return _outer_norms([t[p] for t, p in zip(tables, pos)], lp).reshape(smax)
 
 
 def lp_tail_norm(f: TrigPoly, nu, lp: LorentzParams, shape=None) -> float:

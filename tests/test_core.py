@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsmooth import core
+from mixsmooth import core, lorentz
 from mixsmooth.core import (
     DEGREE_GUARD,
     GridTooCoarse,
@@ -25,7 +25,7 @@ from mixsmooth.core import (
     evaluate_on_grid,
     tensor,
 )
-from mixsmooth.smoothness import _difference_factors
+from mixsmooth.smoothness import _difference_factors, derivative
 from mixsmooth.spectral import _block_tables, _nonzero_rows, _residual_masks
 
 
@@ -86,6 +86,32 @@ def test_smooth_params_broadcast_and_floor():
         SmoothParams(math.inf, 0.0, 1)  # sup form needs b > 0
     with pytest.raises(InvalidParams):
         SmoothParams(1.0, 0.0, 0)  # difference order >= 1
+
+
+def test_parameter_hash_is_stored_and_equal_objects_share_cache_entries():
+    lp, fresh = LorentzParams(3, 1.5), LorentzParams(3.0, 1.5)
+    sp = SmoothParams(1.0, (0.0, 0.5), 1)
+    same = SmoothParams(1, [0.0, 0.5], (1, 1))
+    assert lp == fresh and lp is not fresh and hash(lp) == hash(fresh)
+    assert sp == same and hash(sp) == hash(same)
+    # the value the generated dataclass hash gives, and unchanged repr
+    assert hash(lp) == hash((3.0, 1.5))
+    assert hash(sp) == hash((1.0, (0.0, 0.5), (1, 1)))
+    assert repr(fresh) == "LorentzParams(p=3.0, tau=1.5)"
+    assert repr(same) == "SmoothParams(theta=1.0, b=(0.0, 0.5), k=(1, 1))"
+    # hashed once, at construction: a field forced afterwards leaves it
+    forced = LorentzParams(3.0, 1.5)
+    object.__setattr__(forced, "p", 4.0)
+    assert hash(forced) == hash(lp)
+    assert {lp: 1, sp: 2}[fresh] == 1 and {lp: 1, sp: 2}[same] == 2
+    # equal objects hit the same entry of the step-weight cache
+    weights = lorentz._negated_step_weights
+    weights.cache_clear()
+    values = np.random.default_rng(5).standard_normal((2, 64))
+    assert np.array_equal(lorentz.batch_norms(values, lp), lorentz.batch_norms(values, fresh))
+    info = weights.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+    weights.cache_clear()
 
 
 # --- container basics ---------------------------------------------------------
@@ -451,6 +477,43 @@ def test_tensor_product_values():
     x = np.arange(16) / 16
     want = np.outer(np.cos(2 * np.pi * x), np.cos(2 * np.pi * 2 * x))
     assert np.allclose(vals, want, atol=1e-12)
+
+
+def tensor_member(rng, degrees, complex_axis=None):
+    """Product of random one-axis polynomials; axis complex_axis is not Hermitian."""
+    parts = [random_poly(rng, 1, n, real=axis != complex_axis) for axis, n in enumerate(degrees)]
+    return tensor(*parts), parts
+
+
+def test_tensor_records_its_one_axis_factors():
+    rng = np.random.default_rng(31)
+    f, parts = tensor_member(rng, (3, 2, 4), complex_axis=1)
+    assert len(f.factors) == 3
+    for fac, part in zip(f.factors, parts):
+        assert np.array_equal(fac, part.coeffs) and not fac.flags.writeable
+    assert np.array_equal(f.coeffs, axis_product(f.factors))
+    a, b, c = parts
+    for nested in (tensor(tensor(a, b), c), tensor(a, tensor(b, c)), tensor(a, tensor(b), c)):
+        assert all(np.array_equal(x, y) for x, y in zip(nested.factors, f.factors))
+        # bit for bit, also where the grouping puts later axes first
+        assert np.array_equal(nested.coeffs.view(np.float64), f.coeffs.view(np.float64))
+    assert a.factors is None and tensor(a).factors == (a.coeffs,)
+    # a factor with no one-axis factors leaves the product without them
+    dense = random_poly(rng, 2, 2)
+    assert dense.factors is None and tensor(dense, a).factors is None
+
+
+def test_arithmetic_and_serialization_drop_the_factors():
+    f, _ = tensor_member(np.random.default_rng(32), (2, 3))
+    assert f.factors is not None
+    dropped = [
+        f + f, f - f, 2.0 * f, f * 0.5, -f,
+        f.apply_multiplier(np.ones(f.coeffs.shape)),
+        derivative(f, 1),
+        TrigPoly.loads(f.dumps()),
+        TrigPoly(f.dim, f.degree, f.coeffs),
+    ]
+    assert all(g.factors is None for g in dropped)
 
 
 # --- algebra properties ---------------------------------------------------------

@@ -31,10 +31,10 @@ from mixsmooth.lorentz import (
     poly_norm,
 )
 from mixsmooth.smoothness import _difference_factors, derivative
-from mixsmooth.spectral import _residual_masks
+from mixsmooth.spectral import _block_tables, _nonzero_rows, _residual_masks
 from mixsmooth.verify import generate_corpus
 
-from test_core import random_poly, record_paths
+from test_core import random_poly, record_paths, tensor_member
 
 
 # --- oracles ------------------------------------------------------------------
@@ -422,6 +422,96 @@ def test_all_zero_rows_are_not_sampled_and_norm_to_plus_zero(monkeypatch):
                 # a chunk whose rows are all zero is skipped
                 kept = {b // chunk_rows for b in range(len(mults)) if b not in zero_rows}
                 assert len(batches) == len(kept)
+
+
+# --- tensor members, one axis at a time --------------------------------------
+
+# Sampling axis by axis forms |g_1|^tau * ... * |g_m|^tau in place of
+# |g_1 * ... * g_m|^tau from an m-dimensional transform: the same norms up to
+# rounding, which this bound on the distance in float64 steps states.
+MAX_ULPS = 8
+
+
+def assert_within_ulps(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.all(got >= 0.0) and np.all(want >= 0.0)
+    assert np.all(np.abs(got.view(np.int64) - want.view(np.int64)) <= MAX_ULPS)
+
+
+def factorless(f):
+    """The same coefficients without factors: the m-dimensional path."""
+    return TrigPoly(f.dim, f.degree, f.coeffs)
+
+
+def record_batches(monkeypatch):
+    """Patch lorentz.evaluate_coeff_batch to keep (degree, batch) of every call."""
+    evaluate = lorentz.evaluate_coeff_batch
+    batches = []
+
+    def recording(degree, batch, grid):
+        batches.append((tuple(degree), batch.copy()))
+        return evaluate(degree, batch, grid)
+
+    monkeypatch.setattr(lorentz, "evaluate_coeff_batch", recording)
+    return batches
+
+
+TENSOR_CASES = [((5, 3), (16, 16)), ((3, 2, 4), (16, 8, 16))]
+
+
+@pytest.mark.parametrize("degrees, shape", TENSOR_CASES)
+@pytest.mark.parametrize("complex_axis", [None, 1])
+def test_tensor_members_agree_with_the_dense_path(monkeypatch, degrees, shape, complex_axis):
+    rng = np.random.default_rng(51 + len(degrees))
+    f, _ = tensor_member(rng, degrees, complex_axis)
+    dense = factorless(f)
+    dim = f.dim
+    h = rng.uniform(0.1, 2.0 * np.pi, size=(9, dim))
+    h[[1, 4], 0] = 0.0  # zero difference factors on axis 0
+    cutoffs = np.array([[0] * dim, [1] * dim, [2, np.inf] + [0] * (dim - 2), [9] * dim])
+    _, blocks = _nonzero_rows(f, _block_tables(f))
+    stacks = {
+        "blocks": blocks,
+        "residuals": _residual_masks(f, cutoffs),  # cutoff 9 leaves no residual
+        "differences": _difference_factors(f, h, (1, 2) + (1,) * (dim - 2)),
+    }
+    batches = record_batches(monkeypatch)
+    for lp in (LorentzParams(3.0, 1.5), LorentzParams(2.0, 2.0), LorentzParams(1.5, 4.0)):
+        for name, factors in stacks.items():
+            got = multiplier_norms(f, factors, lp, shape)
+            want = multiplier_norms(dense, factors, lp, shape)
+            assert_within_ulps(got, want)
+            assert np.array_equal(got == 0.0, want == 0.0) and not np.any(np.signbit(got))
+        assert_within_ulps(poly_norm(f, lp, shape), poly_norm(dense, lp, shape))
+    zero = multiplier_norms(f, stacks["differences"], LorentzParams(3.0, 1.5), shape)
+    assert np.all(zero[[1, 4]] == 0.0) and np.all(zero[[0, 2, 3]] > 0.0)
+    # the tensor member was sampled by one-axis transforms only, and no
+    # transform on either path got an all-zero row
+    assert {len(d) for d, _ in batches} == {1, dim}
+    assert all(np.any(row) for _, batch in batches for row in batch)
+
+
+def test_tensor_member_chunking_keeps_powered_rows_bitwise(monkeypatch):
+    rng = np.random.default_rng(52)
+    f, _ = tensor_member(rng, (3, 3), complex_axis=0)
+    factors = _multiplier_case(rng, f)
+    lp = LorentzParams(3.0, 1.5)
+    shape = (16, 16)
+    reduce, rows = lorentz._reduce_powered, []
+
+    def recording(arr, lp):
+        rows.append(arr.copy())
+        return reduce(arr, lp)
+
+    monkeypatch.setattr(lorentz, "_reduce_powered", recording)
+    whole = multiplier_norms(f, factors, lp, shape)
+    assert [len(r) for r in rows] == [7]
+    monkeypatch.setattr(lorentz, "_CHUNK_BYTES", 2 * 16 * 16 * 16)
+    chunked = multiplier_norms(f, factors, lp, shape)
+    assert [len(r) for r in rows[1:]] == [2, 2, 2, 1]
+    assert np.array_equal(np.concatenate(rows[1:]), rows[0])
+    assert np.array_equal(chunked, whole)
 
 
 def test_negated_step_weights_are_cached_read_only(monkeypatch):

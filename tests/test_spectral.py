@@ -32,7 +32,7 @@ from mixsmooth.spectral import (
 )
 
 from test_core import random_poly
-from test_lorentz import record_samples
+from test_lorentz import assert_within_ulps, factorless, record_batches, record_samples
 
 L2 = LorentzParams(2.0, 2.0)
 
@@ -217,6 +217,27 @@ def test_tail_square_norms_chunking_keeps_norms_bitwise(monkeypatch):
     assert len(sizes) >= 3 and max(sizes) <= chunk and sum(sizes) == blocks
     assert np.array_equal(np.concatenate(samples[1:]), samples[0])
     assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (32, 16, 8)])
+def test_tensor_tails_agree_with_the_lattice_path(monkeypatch, shape):
+    # axis 0 has no coefficient in block 2 (|k| in 2..3), so its block-2 row
+    # is zero, and axis 1 is not Hermitian
+    rng = np.random.default_rng(61)
+    gappy = cosine(1) + cosine(5) * 0.25
+    skew = random_poly(rng, 1, 4, real=False)
+    parts = [gappy, skew, ring_poly(rng, 1, 3)][: len(shape)]
+    f = tensor(*parts)
+    assert f.factors is not None and not f.real
+    batches = record_batches(monkeypatch)
+    for lp in (LorentzParams(3.0, 1.5), L2):
+        got = tail_square_norms(f, lp, shape)
+        assert {d for d, _ in batches} == {(n,) for n in f.degree}
+        assert all(np.any(row) for _, batch in batches for row in batch)
+        assert_within_ulps(got, tail_square_norms(factorless(f), lp, shape))
+        # blocks 2 and 3 of axis 0 hold the same tail: block 2 is empty
+        assert np.array_equal(got[1], got[2])
+        batches.clear()
 
 
 def test_tail_rejects_empty_axis():

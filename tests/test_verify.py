@@ -144,6 +144,15 @@ def test_unknown_check_raises(small_corpus):
         run_check("lemma9_missing", small_corpus, LP, SP)
 
 
+def test_equal_parameter_objects_share_workspace_entries(small_corpus):
+    ws = Workspace(small_corpus, VerifyConfig(stability=False))
+    fid = small_corpus.functions[0].fid
+    lp, fresh = LorentzParams(3, 1.5), LorentzParams(3.0, 1.5)
+    sp, same = SmoothParams(1.0, 0.5, 1), SmoothParams(1, (0.5,), (1,))
+    assert ws.seq_norm(fid, lp, sp) == ws.seq_norm(fid, fresh, same)
+    assert Counter(key[0] for key in ws._cache) == {"blocks": 1, "seqB": 1}
+
+
 def test_run_check_is_byte_reproducible(small_corpus):
     cfg = VerifyConfig(stability=False)
     a = run_check("thm1", small_corpus, LP, SP, config=cfg)
