@@ -8,7 +8,8 @@ function the distribution integral has the closed form
 
 with f* the absolute values sorted in non-increasing order, so no quadrature
 is involved.  At tau = p the bracket telescopes to 1/M and the value is the
-plain discrete L_p norm.
+plain discrete L_p norm, which needs no sort; the per-axis path below uses
+that, the m-dimensional path does not.
 
 Norms are sampled on one of two paths and reduced by one.
 
@@ -23,23 +24,28 @@ Norms are sampled on one of two paths and reduced by one.
   difference factors, dyadic block masks, cutoff residual masks) is a
   product of one-axis factors, so each row is a tensor product of one-axis
   rows f_j * factor_j.  Each axis is sampled by a 1-D evaluate_coeff_batch
-  (the FFT path still chosen per row) and powered by tau, and the outer
-  product of the powered rows (axis_product) is formed in the same chunks.
-  The product of the per-axis powers rounds differently from the power of
-  the m-dimensional samples, so the two paths agree to a few ulps, not bit
-  for bit.  The input property f.factors chooses the path; there is no
-  option.
+  (the FFT path still chosen per row) and powered by tau.  The product of
+  the per-axis powers rounds differently from the power of the
+  m-dimensional samples, so the two paths agree to a few ulps, not bit for
+  bit.  The input property f.factors chooses the path; there is no option.
 
 On both paths a row that is all zero (a difference step with some h_j = 0, a
 cutoff past the spectrum) is not sampled, and its norm is +0.0, which is what
-the reduction returns for a zero row.  The reduction is shared: the
-m-dimensional path powers the samples' absolute values by tau (batch_norms),
-and then rows of |x|^tau are negated and sorted in place and multiplied by
-the negated step weights, computed once per (size, p, tau)
-(_reduce_powered).  Every row sum is numpy's pairwise sum of that row alone,
-so on either path a norm has the same bits alone as in any batch, chunking
-or BLAS thread count.  lorentz_norm_sorted is the closed form above on
-pre-sorted rows, kept as the reference the tests compare with.
+the reduction returns for a zero row.  The m-dimensional path powers the
+samples' absolute values by tau (batch_norms); then rows of |x|^tau are
+negated and sorted in place and multiplied by the negated step weights,
+computed once per (size, p, tau) (_reduce_powered).  The per-axis path
+reduces the same way at tau != p, on the outer product of the powered rows
+(axis_product) formed in the same chunks.  At tau = p it forms no outer
+product: the L_p mean of a tensor product is the product of the per-axis
+means (Fubini), so a row costs m one-axis sums (_outer_norms).  Dense rows
+at tau = p keep the sort, because the closed form would round differently
+from lorentz_norm_sorted, which batch_norms matches bit for bit at every
+(p, tau) (test_batch_norms_equal_sorted_reference_bitwise).  Every row sum
+is numpy's pairwise sum of that row alone, so on either path a norm has the
+same bits alone as in any batch, chunking or BLAS thread count.
+lorentz_norm_sorted is the closed form above on pre-sorted rows, kept as the
+reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -164,9 +170,16 @@ def _outer_norms(tables, lp: LorentzParams) -> np.ndarray:
     """Norms of rows given one axis at a time as |samples|^tau, shape (B,).
 
     tables[j] has shape (B, N_j); row b is the outer product of the
-    tables[j][b], formed by axis_product in chunks of _chunk_rows rows and
-    reduced by _reduce_powered, which may overwrite the tables.
+    tables[j][b].  At tau = p the norm is the L_p mean, and the mean of an
+    outer product is the product of the per-axis means (Fubini), so no
+    outer product is formed and nothing is sorted: each mean is the pairwise
+    sum of one table row alone over N_j.  Otherwise the outer products are
+    formed by axis_product in chunks of _chunk_rows rows and reduced by
+    _reduce_powered, which may overwrite the tables.
     """
+    if lp.tau == lp.p:
+        mean = np.prod([np.add.reduce(t, axis=-1) / t.shape[1] for t in tables], axis=0)
+        return mean ** (1.0 / lp.tau)
     count = len(tables[0])
     chunk = _chunk_rows([t.shape[1] for t in tables])
     norms = np.empty(count)
@@ -182,7 +195,8 @@ def _tensor_norms(degree, axis_rows, lp: LorentzParams, shape) -> np.ndarray:
     axis_rows[j] has shape (B, 2 n_j + 1); row b is the tensor product of
     the axis_rows[j][b].  Since |prod_j g_j| = prod_j |g_j|, each axis is
     sampled on N_j points by a 1-D evaluate_coeff_batch and powered by tau;
-    only the outer products, formed by _outer_norms, span the whole grid.
+    only the outer products that _outer_norms forms at tau != p span the
+    whole grid.
     A row that is zero on some axis is not sampled; its norm is +0.0.
     """
     live = np.flatnonzero(np.logical_and.reduce([r.any(axis=1) for r in axis_rows]))

@@ -150,6 +150,11 @@ def test_step_sample_hand_value():
 def test_cosine_l2_norm_is_inverse_sqrt2():
     lp = LorentzParams(2.0, 2.0)
     assert poly_norm(cosine(1), lp) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    # the L_2 norm of a tensor product is the product of the one-axis norms;
+    # frozen values of the per-axis path
+    assert poly_norm(tensor(cosine(2), cosine(3)), lp) == 0.5
+    three = poly_norm(tensor(cosine(1), cosine(2), cosine(3)), lp)
+    assert abs(np.float64(three).view(np.int64) - np.float64(2**-1.5).view(np.int64)) <= 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,7 +482,8 @@ def test_tensor_members_agree_with_the_dense_path(monkeypatch, degrees, shape, c
         "differences": _difference_factors(f, h, (1, 2) + (1,) * (dim - 2)),
     }
     batches = record_batches(monkeypatch)
-    for lp in (LorentzParams(3.0, 1.5), LorentzParams(2.0, 2.0), LorentzParams(1.5, 4.0)):
+    for p, tau in [(3.0, 1.5), (2.0, 2.0), (3.0, 3.0), (1.5, 4.0)]:
+        lp = LorentzParams(p, tau)
         for name, factors in stacks.items():
             got = multiplier_norms(f, factors, lp, shape)
             want = multiplier_norms(dense, factors, lp, shape)
@@ -492,12 +498,16 @@ def test_tensor_members_agree_with_the_dense_path(monkeypatch, degrees, shape, c
     assert all(np.any(row) for _, batch in batches for row in batch)
 
 
-def test_tensor_member_chunking_keeps_powered_rows_bitwise(monkeypatch):
+@pytest.mark.parametrize(
+    "lp", [LorentzParams(3.0, 1.5), LorentzParams(3.0, 3.0)], ids=["p3-tau1.5", "p3-tau3"]
+)
+def test_tensor_member_chunking_keeps_powered_rows_bitwise(monkeypatch, lp):
     rng = np.random.default_rng(52)
     f, _ = tensor_member(rng, (3, 3), complex_axis=0)
     factors = _multiplier_case(rng, f)
-    lp = LorentzParams(3.0, 1.5)
     shape = (16, 16)
+    # at tau = p the rows reduce by per-axis means, with no powered outer product
+    powered = lp.tau != lp.p
     reduce, rows = lorentz._reduce_powered, []
 
     def recording(arr, lp):
@@ -506,12 +516,52 @@ def test_tensor_member_chunking_keeps_powered_rows_bitwise(monkeypatch):
 
     monkeypatch.setattr(lorentz, "_reduce_powered", recording)
     whole = multiplier_norms(f, factors, lp, shape)
-    assert [len(r) for r in rows] == [7]
+    assert [len(r) for r in rows] == ([7] if powered else [])
     monkeypatch.setattr(lorentz, "_CHUNK_BYTES", 2 * 16 * 16 * 16)
     chunked = multiplier_norms(f, factors, lp, shape)
-    assert [len(r) for r in rows[1:]] == [2, 2, 2, 1]
-    assert np.array_equal(np.concatenate(rows[1:]), rows[0])
+    assert [len(r) for r in rows[1:]] == ([2, 2, 2, 1] if powered else [])
+    if powered:
+        assert np.array_equal(np.concatenate(rows[1:]), rows[0])
     assert np.array_equal(chunked, whole)
+    # and each row alone
+    alone = [multiplier_norms(f, [row[None], factors[1]], lp, shape)[0] for row in factors[0]]
+    assert np.array_equal(alone, whole)
+
+
+def count_outer_products(monkeypatch):
+    """Patch lorentz.axis_product and lorentz._reduce_powered to count their calls."""
+    calls = {"axis_product": 0, "_reduce_powered": 0}
+
+    def counting(name):
+        inner = getattr(lorentz, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(lorentz, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    return calls
+
+
+@pytest.mark.parametrize("degrees, shape", TENSOR_CASES)
+def test_tensor_members_at_tau_equal_p_form_no_outer_product(monkeypatch, degrees, shape):
+    rng = np.random.default_rng(53 + len(degrees))
+    f, _ = tensor_member(rng, degrees, complex_axis=1)
+    h = rng.uniform(0.1, 2.0 * np.pi, size=(5, f.dim))
+    factors = _difference_factors(f, h, (1,) * f.dim)
+    _, blocks = _nonzero_rows(f, _block_tables(f))
+    calls = count_outer_products(monkeypatch)
+    for lp in (LorentzParams(2.0, 2.0), LorentzParams(3.0, 3.0)):
+        multiplier_norms(f, factors, lp, shape)
+        multiplier_norms(f, blocks, lp, shape)
+        poly_norm(f, lp, shape)
+    assert calls == {"axis_product": 0, "_reduce_powered": 0}
+    # the counters do count: tau != p forms and sorts the outer products
+    multiplier_norms(f, factors, LorentzParams(3.0, 1.5), shape)
+    assert calls["axis_product"] > 0 and calls["_reduce_powered"] > 0
 
 
 def test_negated_step_weights_are_cached_read_only(monkeypatch):

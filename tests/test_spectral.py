@@ -32,7 +32,13 @@ from mixsmooth.spectral import (
 )
 
 from test_core import random_poly
-from test_lorentz import assert_within_ulps, factorless, record_batches, record_samples
+from test_lorentz import (
+    assert_within_ulps,
+    count_outer_products,
+    factorless,
+    record_batches,
+    record_samples,
+)
 
 L2 = LorentzParams(2.0, 2.0)
 
@@ -238,6 +244,19 @@ def test_tensor_tails_agree_with_the_lattice_path(monkeypatch, shape):
         # blocks 2 and 3 of axis 0 hold the same tail: block 2 is empty
         assert np.array_equal(got[1], got[2])
         batches.clear()
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (32, 16, 8)])
+def test_tensor_tails_at_tau_equal_p_form_no_outer_product(monkeypatch, shape):
+    rng = np.random.default_rng(62)
+    parts = [ring_poly(rng, 1, 7), random_poly(rng, 1, 4, real=False), ring_poly(rng, 1, 3)]
+    f = tensor(*parts[: len(shape)])
+    calls = count_outer_products(monkeypatch)
+    for lp in (L2, LorentzParams(3.0, 3.0)):
+        tail_square_norms(f, lp, shape)
+    assert calls == {"axis_product": 0, "_reduce_powered": 0}
+    tail_square_norms(f, LorentzParams(3.0, 1.5), shape)
+    assert calls["axis_product"] > 0 and calls["_reduce_powered"] > 0
 
 
 def test_tail_rejects_empty_axis():
