@@ -463,6 +463,20 @@ def evaluate_on_grid(f: TrigPoly, shape=None) -> np.ndarray:
     return _ifft_box(f.coeffs[None, ...], f.degree, shape, real=f.real)[0]
 
 
+def _check_grid(degree, shape) -> None:
+    """The one resolution rule: raise GridTooCoarse unless N_j >= 2 n_j + 1 on every axis.
+
+    At that resolution the frequencies -n_j..n_j fall in distinct FFT bins,
+    so sampling is alias-free and the discrete Parseval identity
+    mean |f|^2 = sum |a_k|^2 holds exactly.
+    """
+    for N, n in zip(shape, degree):
+        if N < 2 * n + 1:
+            raise GridTooCoarse(
+                f"grid {shape} cannot resolve degree {degree}: need N_j >= 2*n_j+1"
+            )
+
+
 def _ifft_box(coeff_batch: np.ndarray, degree, shape, real: bool = False) -> np.ndarray:
     """Fourier sums of a stack of coefficient tensors scattered to wrapped bins.
 
@@ -474,11 +488,7 @@ def _ifft_box(coeff_batch: np.ndarray, degree, shape, real: bool = False) -> np.
     frequencies 0..n_m are scattered, into a (n_m + 1)-wide half spectrum,
     and a real inverse FFT returns float64 samples.
     """
-    for N, n in zip(shape, degree):
-        if N < 2 * n + 1:
-            raise GridTooCoarse(
-                f"grid {shape} cannot resolve degree {degree}: need N_j >= 2*n_j+1"
-            )
+    _check_grid(degree, shape)
     wrap = [np.arange(-n, n + 1) % N for n, N in zip(degree, shape)]
     size = shape
     if real:

@@ -8,10 +8,10 @@ function the distribution integral has the closed form
 
 with f* the absolute values sorted in non-increasing order, so no quadrature
 is involved.  At tau = p the bracket telescopes to 1/M and the value is the
-plain discrete L_p norm, which needs no sort; the per-axis path below uses
-that, the m-dimensional path does not.
+plain discrete L_p norm, which needs no sort.
 
-Norms are sampled on one of two paths and reduced by one.
+Norms are sampled on one of two paths and reduced by one, except at
+p = tau = 2, where they are not sampled at all.
 
 - The m-dimensional path samples coefficient tensors with
   evaluate_coeff_batch, which picks the real or complex FFT path per row: a
@@ -31,19 +31,38 @@ Norms are sampled on one of two paths and reduced by one.
 
 On both paths a row that is all zero (a difference step with some h_j = 0, a
 cutoff past the spectrum) is not sampled, and its norm is +0.0, which is what
-the reduction returns for a zero row.  The m-dimensional path powers the
-samples' absolute values by tau (batch_norms); then rows of |x|^tau are
-negated and sorted in place and multiplied by the negated step weights,
-computed once per (size, p, tau) (_reduce_powered).  The per-axis path
-reduces the same way at tau != p, on the outer product of the powered rows
-(axis_product) formed in the same chunks.  At tau = p it forms no outer
-product: the L_p mean of a tensor product is the product of the per-axis
-means (Fubini), so a row costs m one-axis sums (_outer_norms).  Dense rows
-at tau = p keep the sort, because the closed form would round differently
-from lorentz_norm_sorted, which batch_norms matches bit for bit at every
-(p, tau) (test_batch_norms_equal_sorted_reference_bitwise).  Every row sum
-is numpy's pairwise sum of that row alone, so on either path a norm has the
-same bits alone as in any batch, chunking or BLAS thread count.
+every reduction returns for a zero row.  Every grid must resolve the degree
+(N_j >= 2 n_j + 1, core._check_grid), or GridTooCoarse is raised, whether the
+rows are sampled or not.  The reductions of multiplier_norms, and of
+lorentz_norm and poly_norm of a polynomial, by (p, tau):
+
+- tau != p: the m-dimensional path powers the samples' absolute values by
+  tau (batch_norms); then rows of |x|^tau are negated and sorted in place
+  and multiplied by the negated step weights, computed once per (size, p,
+  tau) (_reduce_powered).  The per-axis path reduces the same way, on the
+  outer product of the powered rows (axis_product) formed in the same
+  chunks.
+- tau = p != 2: the norm is the plain L_p mean, and nothing is negated or
+  sorted.  A dense row is reduced by (sum |x|^p / M)^(1/p) (_mean_norms).
+  A tensor row forms no outer product: the mean of a tensor product is the
+  product of the per-axis means (Fubini), so it costs m one-axis sums
+  (_outer_norms).
+- p = tau = 2: on an alias-free grid the mean of |f|^2 over the samples is
+  sum |a_k|^2 exactly (discrete Parseval), so no row is sampled.  A dense
+  row's norm is the square root of the sum of |f.coeffs|^2 times the
+  product of its factors' |.|^2, formed in chunks of the coefficient box; a
+  tensor row's is the square root of the product of its per-axis
+  coefficient energies (_energy_norms).
+
+Two inputs keep the sort at tau = p.  An array of samples is reduced by
+batch_norms, which matches lorentz_norm_sorted bit for bit at every (p, tau)
+(test_batch_norms_equal_sorted_reference_bitwise); the mean would round
+differently.  The dense tails of spectral.tail_square_norms are square
+functions, not polynomials, so Parseval does not give their norms, and
+batch_norms keeps them equal bit for bit to a reversed-cumsum oracle
+(test_tail_square_norms_equal_reversed_cumsum_oracle).  Every row sum is
+numpy's pairwise sum of that row alone, never a BLAS dot, so on every path a
+norm has the same bits alone as in any batch, chunking or BLAS thread count.
 lorentz_norm_sorted is the closed form above on pre-sorted rows, kept as the
 reference the tests compare with.
 """
@@ -59,6 +78,7 @@ from .core import (
     LorentzParams,
     TrigPoly,
     _as_int_tuple,
+    _check_grid,
     axis_product,
     default_grid_shape,
     evaluate_coeff_batch,
@@ -79,6 +99,8 @@ __all__ = [
 # (n_m + 1)-wide complex half spectrum.  The abs, power and sort steps share
 # one float64 copy.  Twice the rows per chunk ran verify slower, not faster.
 # A per-axis chunk takes the same number of rows, as one float64 outer product.
+# At p = tau = 2 a chunk is rows x coefficient-box points x 16 B instead: the
+# float64 products of |f.coeffs|^2 with the rows' |factors|^2 fill half of it.
 _CHUNK_BYTES = 4_000_000
 
 
@@ -146,6 +168,46 @@ def _reduce_powered(arr: np.ndarray, lp: LorentzParams) -> np.ndarray:
     arr.sort(axis=-1)
     acc = _weighted_row_sums(arr, _negated_step_weights(arr.shape[-1], lp))
     return acc ** (1.0 / lp.tau)
+
+
+def _mean_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
+    """L_p norms of rows of magnitudes at tau = p, shape (B, M) -> (B,).
+
+    (sum |x|^p / M)^(1/p), the pairwise sum of each row alone: at tau = p
+    the step weights telescope to 1/M, so the order of the samples does not
+    matter and nothing is negated or sorted.
+    """
+    return (np.add.reduce(np.power(values, lp.p), axis=-1) / values.shape[-1]) ** (1.0 / lp.p)
+
+
+def _energy_norms(f: TrigPoly, stacks) -> np.ndarray:
+    """L_2 norms of the rows f.coeffs * axis_product(stacks)[b], shape (B,).
+
+    On a grid with N_j >= 2 n_j + 1 the mean of |f|^2 over the samples is
+    the sum of |a_k|^2 (discrete Parseval), so at p = tau = 2 nothing is
+    sampled: row b's norm is the square root of the pairwise sum of
+    |f.coeffs|^2 * axis_product(|stacks[j][b]|^2), formed in chunks of
+    _chunk_rows rows of the coefficient box.  When f.factors is set the
+    energy of a tensor product is the product of the per-axis energies, so
+    each axis is one pairwise sum of |f.factors[j]|^2 * |stacks[j][b]|^2.
+    Either way each row is summed alone, so its bits do not depend on the
+    batch, the chunking or the BLAS thread count.
+    """
+    squares = [np.square(np.abs(s), dtype=np.float64) for s in stacks]
+    if f.factors is not None:
+        energies = [
+            np.add.reduce(np.square(np.abs(fac)) * sq, axis=-1)
+            for fac, sq in zip(f.factors, squares)
+        ]
+        return np.sqrt(np.prod(energies, axis=0))
+    weights = np.square(np.abs(f.coeffs))
+    count = len(squares[0])
+    chunk = _chunk_rows(f.coeffs.shape)
+    energy = np.empty(count)
+    for start in range(0, count, chunk):
+        terms = weights * axis_product([sq[start : start + chunk] for sq in squares])
+        energy[start : start + chunk] = np.add.reduce(terms.reshape(len(terms), -1), axis=-1)
+    return np.sqrt(energy)
 
 
 def _chunk_rows(shape) -> int:
@@ -233,53 +295,72 @@ def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.
     """Lorentz norms of a stack of tensor-multiplier images of f, shape (B,).
 
     factors holds one entry per axis: a 1-D factor shared by every row, or a
-    (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b].
-    When f.factors is set (a product of one-axis polynomials), row b is the
-    tensor product of the one-axis rows f.factors[j] * factors[j][b], which
-    are sampled one axis at a time (_tensor_norms).  Otherwise the rows are
-    sampled on `shape` in chunks that bound the FFT memory, and each chunk
-    is reduced by batch_norms as soon as it is sampled.  The two paths agree
-    to a few ulps.  An all-zero row is not sampled; its norm is +0.0.
+    (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b],
+    taken as samples on `shape`; a grid with N_j < 2 n_j + 1 on some axis
+    raises GridTooCoarse on every path.
+
+    - At p = tau = 2 nothing is sampled: the norms are read off the
+      coefficients (_energy_norms, discrete Parseval), for a tensor member
+      as the product of its per-axis energies.
+    - Otherwise, when f.factors is set (a product of one-axis polynomials),
+      row b is the tensor product of the one-axis rows f.factors[j] *
+      factors[j][b], which are sampled one axis at a time (_tensor_norms).
+    - Otherwise the rows are sampled on `shape` in chunks that bound the FFT
+      memory, and each chunk is reduced as soon as it is sampled: by its
+      plain L_p means at tau = p (_mean_norms), else by batch_norms.
+
+    The paths agree to a few ulps.  An all-zero row is not sampled; its norm
+    is +0.0.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
+    shape = _as_int_tuple(shape, f.dim, "shape")
+    _check_grid(f.degree, shape)
     factors = [np.atleast_2d(fac) for fac in factors]
     (count,) = np.broadcast_shapes(*(fac.shape[:-1] for fac in factors))
     stacks = [np.broadcast_to(fac, (count, fac.shape[-1])) for fac in factors]
+    if lp.p == lp.tau == 2.0:
+        return _energy_norms(f, stacks)
     if f.factors is not None:
         axis_rows = [fac * stack for fac, stack in zip(f.factors, stacks)]
-        return _tensor_norms(f.degree, axis_rows, lp, _as_int_tuple(shape, f.dim, "shape"))
+        return _tensor_norms(f.degree, axis_rows, lp, shape)
+    reduce = _mean_norms if lp.tau == lp.p else batch_norms
     norms = np.zeros(count)
     for rows, values in _sample_chunks(f, stacks, shape):
-        norms[rows] = batch_norms(values, lp)
+        norms[rows] = reduce(values, lp)
     return norms
 
 
 def lorentz_norm(obj, lp: LorentzParams, shape=None) -> float:
     """Lorentz (p, tau) norm of a polynomial or of an array of samples.
 
-    A TrigPoly is sampled on `shape` (default: default_grid_shape, never
-    below the alias-free bound) as a one-row evaluate_coeff_batch, or one
-    axis at a time when obj.factors is set, as in multiplier_norms; an array
-    of real or complex samples is taken as one row.  Either way the row is
-    reduced as in batch_norms, so a polynomial's norm has the same bits alone
-    as in any batch.
+    A TrigPoly is taken on `shape` (default: default_grid_shape, never below
+    the alias-free bound) as the one row of multiplier_norms with unit
+    factors, with that row's reduction and bits: read off the coefficients at
+    p = tau = 2, sampled one axis at a time when obj.factors is set, else
+    sampled as a one-row evaluate_coeff_batch and reduced by its plain L_p
+    mean at tau = p or by batch_norms.  An array of real or complex samples
+    is taken as one row and reduced by batch_norms, sort included, at every
+    (p, tau).
     """
     if isinstance(obj, TrigPoly):
         if shape is None:
             shape = default_grid_shape(obj.dim, obj.degree)
         shape = _as_int_tuple(shape, obj.dim, "shape")
-        if obj.factors is not None:
-            rows = [fac[None] for fac in obj.factors]
-            return float(_tensor_norms(obj.degree, rows, lp, shape)[0])
-        values = evaluate_coeff_batch(obj.degree, obj.coeffs[None], shape)
-    elif isinstance(obj, np.ndarray):
-        values = obj.reshape(1, -1)
-    else:
+        _check_grid(obj.degree, shape)
+        if lp.p == lp.tau == 2.0:
+            norms = _energy_norms(obj, [np.ones((1, 2 * n + 1)) for n in obj.degree])
+        elif obj.factors is not None:
+            norms = _tensor_norms(obj.degree, [fac[None] for fac in obj.factors], lp, shape)
+        else:
+            values = evaluate_coeff_batch(obj.degree, obj.coeffs[None], shape)
+            norms = (_mean_norms if lp.tau == lp.p else batch_norms)(values, lp)
+        return float(norms[0])
+    if not isinstance(obj, np.ndarray):
         raise InvalidParams(f"cannot take a Lorentz norm of {type(obj).__name__}")
-    if values.size == 0:
+    if obj.size == 0:
         raise InvalidParams("cannot take a Lorentz norm of an empty sample set")
-    return float(batch_norms(values, lp)[0])
+    return float(batch_norms(obj.reshape(1, -1), lp)[0])
 
 
 def poly_norm(f: TrigPoly, lp: LorentzParams, shape=None) -> float:
@@ -292,7 +373,9 @@ def norm_with_refinement(f: TrigPoly, lp: LorentzParams, shape=None) -> tuple[fl
 
     Doubling every axis and seeing less than 0.5% change is the working
     convergence criterion for reported values; the caller decides what to do
-    with a larger delta.
+    with a larger delta.  At p = tau = 2 both norms are read off the same
+    coefficients (discrete Parseval holds on every alias-free grid), so the
+    delta is exactly 0.0.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)

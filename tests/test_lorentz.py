@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mixsmooth import lorentz
 from mixsmooth.core import (
+    GridTooCoarse,
     InvalidParams,
     LorentzParams,
     TrigPoly,
@@ -590,3 +591,145 @@ def test_negated_step_weights_are_cached_read_only(monkeypatch):
             assert np.array_equal(w, -step_weights(size, lp))
     assert lorentz._negated_step_weights.cache_info().maxsize is not None
     lorentz._negated_step_weights.cache_clear()
+
+
+# --- closed forms at tau = p ------------------------------------------------------
+
+# At tau = p the norm is a plain L_p mean: dense rows are reduced by their
+# mean with no sort, and at p = tau = 2 every row is read off its coefficients
+# (discrete Parseval), with no transform.  Both round differently from the
+# sampled and sorted reduction, by a few ulps.
+
+TAU_EQUAL_P = [LorentzParams(2.0, 2.0), LorentzParams(3.0, 3.0), LorentzParams(1.5, 1.5)]
+L2 = LorentzParams(2.0, 2.0)
+
+
+def sampled_and_sorted(f, factors, lp, shape):
+    """Rows f.coeffs * axis_product(factors) sampled on shape and sorted by batch_norms."""
+    rows = f.coeffs * axis_product([np.atleast_2d(fac) for fac in factors])
+    return batch_norms(evaluate_coeff_batch(f.degree, rows, shape), lp)
+
+
+def closed_form_cases():
+    """(name, f, shape): dense real and complex members, m = 2 and 3 tensor members."""
+    rng = np.random.default_rng(61)
+    m2, _ = tensor_member(rng, (5, 3), complex_axis=1)
+    m3, _ = tensor_member(rng, (3, 2, 4), complex_axis=0)
+    return [
+        ("dense-real", random_poly(rng, 2, (4, 3)), (16, 8)),
+        ("dense-complex", random_poly(rng, 2, (3, 4), real=False), (8, 16)),
+        ("tensor-m2", m2, (16, 16)),
+        ("tensor-m3", m3, (16, 8, 16)),
+    ]
+
+
+CLOSED_FORM_CASES = closed_form_cases()
+CLOSED_FORM_IDS = [name for name, _, _ in CLOSED_FORM_CASES]
+
+
+def multiplier_stacks(f):
+    """Difference, block and residual stacks of f, each with all-zero rows."""
+    rng = np.random.default_rng(62 + f.dim)
+    dim = f.dim
+    h = rng.uniform(0.1, 2.0 * np.pi, size=(7, dim))
+    h[[1, 4], 0] = 0.0
+    cutoffs = np.array([[0] * dim, [1] * dim, [2, np.inf] + [0] * (dim - 2), [9] * dim])
+    _, blocks = _nonzero_rows(f, _block_tables(f))
+    blocks = [np.concatenate([b, np.zeros_like(b[:1])]) for b in blocks]  # an empty mask
+    return {
+        "differences": (_difference_factors(f, h, (1,) * dim), {1, 4}),
+        "blocks": (blocks, {len(blocks[0]) - 1}),
+        # a cutoff of inf or 9 leaves no residual
+        "residuals": (_residual_masks(f, cutoffs), {2, 3}),
+    }
+
+
+@pytest.mark.parametrize("name, f, shape", CLOSED_FORM_CASES, ids=CLOSED_FORM_IDS)
+@pytest.mark.parametrize("lp", TAU_EQUAL_P, ids=["p2", "p3", "p1.5"])
+def test_tau_equal_p_agrees_with_sampled_and_sorted_norms(name, f, shape, lp):
+    for stack, (factors, zero_rows) in multiplier_stacks(f).items():
+        got = multiplier_norms(f, factors, lp, shape)
+        assert_within_ulps(got, sampled_and_sorted(f, factors, lp, shape))
+        assert {b for b in range(len(got)) if got[b] == 0.0} == zero_rows, stack
+        assert not np.any(np.signbit(got))
+    ones = [np.ones(2 * n + 1) for n in f.degree]
+    assert_within_ulps(poly_norm(f, lp, shape), sampled_and_sorted(f, ones, lp, shape)[0])
+
+
+def count_calls(monkeypatch, *names):
+    """Patch the named lorentz functions to count their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(lorentz, name)
+
+        def wrapper(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(lorentz, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name, f, shape", CLOSED_FORM_CASES, ids=CLOSED_FORM_IDS)
+def test_l2_norms_sample_nothing_and_dense_tau_equal_p_sorts_nothing(monkeypatch, name, f, shape):
+    stacks = [factors for factors, _ in multiplier_stacks(f).values()]
+    calls = count_calls(monkeypatch, "evaluate_coeff_batch", "_reduce_powered")
+    for factors in stacks:
+        multiplier_norms(f, factors, L2, shape)
+    poly_norm(f, L2, shape)
+    norm_with_refinement(f, L2, shape)
+    assert calls["evaluate_coeff_batch"] == 0
+    if f.factors is None:
+        for factors in stacks:
+            multiplier_norms(f, factors, LorentzParams(3.0, 3.0), shape)
+        poly_norm(f, LorentzParams(3.0, 3.0), shape)
+        assert calls["_reduce_powered"] == 0 and calls["evaluate_coeff_batch"] > 0
+    # the counters do count: tau != p samples and sorts
+    multiplier_norms(f, stacks[0], LorentzParams(3.0, 1.5), shape)
+    assert calls["evaluate_coeff_batch"] > 0 and calls["_reduce_powered"] > 0
+
+
+@pytest.mark.parametrize("name, f, shape", CLOSED_FORM_CASES, ids=CLOSED_FORM_IDS)
+def test_l2_rows_keep_their_bits_alone_in_a_batch_and_in_chunks(monkeypatch, name, f, shape):
+    for factors, _ in multiplier_stacks(f).values():
+        whole = multiplier_norms(f, factors, L2, shape)
+        count = len(whole)
+        rows = [np.broadcast_to(np.atleast_2d(fac), (count, fac.shape[-1])) for fac in factors]
+        alone = [multiplier_norms(f, [r[b] for r in rows], L2, shape)[0] for b in range(count)]
+        assert np.array_equal(alone, whole)
+        with monkeypatch.context() as patch:
+            box = int(np.prod(f.coeffs.shape))
+            patch.setattr(lorentz, "_CHUNK_BYTES", 2 * 16 * box)
+            assert lorentz._chunk_rows(f.coeffs.shape) == 2
+            assert np.array_equal(multiplier_norms(f, factors, L2, shape), whole)
+    # a polynomial's norm is the norm of its row with unit factors
+    ones = [np.ones(2 * n + 1) for n in f.degree]
+    for lp in (L2, LorentzParams(3.0, 3.0)):
+        assert poly_norm(f, lp, shape) == multiplier_norms(f, ones, lp, shape)[0]
+
+
+@pytest.mark.parametrize("name, f, shape", CLOSED_FORM_CASES, ids=CLOSED_FORM_IDS)
+def test_l2_norm_with_refinement_has_zero_delta(name, f, shape):
+    value, delta = norm_with_refinement(f, L2, shape)
+    assert delta == 0.0
+    assert value == poly_norm(f, L2, shape)
+
+
+@pytest.mark.parametrize("name, f, shape", CLOSED_FORM_CASES, ids=CLOSED_FORM_IDS)
+def test_every_path_rejects_a_too_coarse_grid_with_one_message(name, f, shape):
+    coarse = (2 * f.degree[0],) + shape[1:]  # axis 0 needs 2 n_0 + 1 points
+    want = f"grid {coarse} cannot resolve degree {f.degree}: need N_j >= 2*n_j+1"
+    with pytest.raises(GridTooCoarse) as sampled:
+        evaluate_coeff_batch(f.degree, f.coeffs[None], coarse)
+    assert str(sampled.value) == want
+    factors, _ = multiplier_stacks(f)["differences"]
+    zero = [np.zeros_like(np.atleast_2d(fac)) for fac in factors]  # samples nothing
+    for lp in TAU_EQUAL_P + [LorentzParams(3.0, 1.5)]:
+        for call in (
+            lambda: poly_norm(f, lp, coarse),
+            lambda: multiplier_norms(f, factors, lp, coarse),
+            lambda: multiplier_norms(f, zero, lp, coarse),
+        ):
+            with pytest.raises(GridTooCoarse) as exc:
+                call()
+            assert str(exc.value) == want
