@@ -9,7 +9,7 @@ at m = 2 (deg 32), on the default grids.  scripts/battery_reports.py covers
 the verify Workspace; these are the public library entry points, each
 sampling and reducing on its own, so `diff` of the outputs of two source
 trees (or of two BLAS thread counts) shows whether a pipeline change moved
-any bit.  810 lines; about a minute.
+any bit.  810 lines; about 8 s (7.6 s on a 2-core x86_64 host).
 
     python scripts/norm_values.py OUT [SEED]
 """

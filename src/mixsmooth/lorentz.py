@@ -58,10 +58,13 @@ Two inputs keep the sort at tau = p.  An array of samples is reduced by
 batch_norms, which matches lorentz_norm_sorted bit for bit at every (p, tau)
 (test_batch_norms_equal_sorted_reference_bitwise); the mean would round
 differently.  The dense tails of spectral.tail_square_norms are square
-functions, not polynomials, so Parseval does not give their norms, and
-batch_norms keeps them equal bit for bit to a reversed-cumsum oracle
-(test_tail_square_norms_equal_reversed_cumsum_oracle).  Every row sum is
-numpy's pairwise sum of that row alone, never a BLAS dot, so on every path a
+functions, not polynomials, so Parseval does not give their norms.  They
+are streamed: the blocks arrive from _sample_chunks one first-axis slab at
+a time, and each slab, once complete, is reduced as batch_norms would, so
+the tails equal a reversed-cumsum oracle on the whole lattice bit for bit
+(test_tail_square_norms_equal_reversed_cumsum_oracle) while at most two
+slabs, prod_{j >= 2} smax_j rows of prod N float64, and one chunk are
+held.  Every row sum is numpy's pairwise sum of that row alone, never a BLAS dot, so on every path a
 norm has the same bits alone as in any batch, chunking or BLAS thread count.
 lorentz_norm_sorted is the closed form above on pre-sorted rows, kept as the
 reference the tests compare with.
@@ -101,6 +104,8 @@ __all__ = [
 # A per-axis chunk takes the same number of rows, as one float64 outer product.
 # At p = tau = 2 a chunk is rows x coefficient-box points x 16 B instead: the
 # float64 products of |f.coeffs|^2 with the rows' |factors|^2 fill half of it.
+# The dense tails of spectral.tail_square_norms hold one chunk on top of their
+# two slabs of prod_{j >= 2} smax_j rows x prod N float64.
 _CHUNK_BYTES = 4_000_000
 
 

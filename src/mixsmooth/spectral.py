@@ -22,10 +22,11 @@ from .core import (
     LorentzParams,
     TrigPoly,
     _as_int_tuple,
+    _check_grid,
     axis_product,
     default_grid_shape,
 )
-from .lorentz import _axis_powers, _outer_norms, _sample_chunks, batch_norms, multiplier_norms
+from .lorentz import _axis_powers, _outer_norms, _reduce_powered, _sample_chunks, multiplier_norms
 
 __all__ = [
     "BlockIndex",
@@ -233,8 +234,17 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
         || ( sum_{s_j >= nu_j for all j} |delta_s(f)(x)|^2 )^(1/2) ||_{p,tau}
 
     for nu_j in 1..smax_j.  Every nonzero block is evaluated once, in the
-    chunks of lorentz._sample_chunks, and squared into the block lattice; the
-    tails are suffix sums of those squares over the lattice, formed in place.
+    chunks of lorentz._sample_chunks, in reverse lexicographic order, so the
+    blocks arrive one first-axis slab at a time from s_1 = smax_1 down.
+    Their squares are added to one running suffix sum over that axis; once a
+    slab is complete, a copy of the sum takes its suffix sums over the other
+    axes and is square-rooted and reduced as batch_norms would.  Every
+    element gets the additions of a reversed cumsum on every axis, in the
+    same order, and each row is reduced alone, so the tails have the bits of
+    the whole lattice of squares while two slabs (prod_{j >= 2} smax_j rows
+    of prod N float64) and one chunk are held: bounded, but not small at
+    m = 3, where a dense deg-32 input holds about 1.2 GB (the lattice and
+    its reduction copy took 7.2 GB).
 
     When f.factors is set (f = f_1 x ... x f_m), the blocks factor too, and
 
@@ -242,28 +252,48 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
         T_j(nu_j) = sum_{s_j >= nu_j} |delta_{s_j}(f_j)|^2,
 
     so m one-axis suffix tables replace the lattice of squares (_tensor_tails)
-    and the values agree with the lattice path to a few ulps.
+    and the values agree with the slab path to a few ulps.  shape may be a
+    scalar or one N_j per axis; a grid with N_j < 2 n_j + 1 raises
+    GridTooCoarse on both paths.
     """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
+    shape = _as_int_tuple(shape, f.dim, "shape")
+    _check_grid(f.degree, shape)
     smax = max_block_index(f)
     if any(v == 0 for v in smax):
         raise InvalidParams("tail norms need a nonzero spectrum on every axis")
     if f.factors is not None:
-        return _tensor_tails(f, smax, lp, _as_int_tuple(shape, f.dim, "shape"))
+        return _tensor_tails(f, smax, lp, shape)
     pos, masks = _nonzero_rows(f, _block_tables(f))
-    # empty blocks sample to exact zeros, so only nonzero ones are evaluated
-    squares = np.zeros(smax + (int(np.prod(shape)),), dtype=np.float64)
-    for rows, values in _sample_chunks(f, masks, shape):
-        squares[tuple(pos[rows].T)] = np.square(values, out=values)
-    # suffix sums in place, one axis at a time: the additions of a reversed
-    # cumsum, with the operands swapped (IEEE addition commutes)
-    for axis in range(len(smax)):
-        view = np.moveaxis(squares, axis, 0)
-        for i in range(view.shape[0] - 2, -1, -1):
-            view[i] += view[i + 1]
-    flat = squares.reshape(-1, squares.shape[-1])
-    return batch_norms(np.sqrt(flat, out=flat), lp).reshape(smax)
+    width = math.prod(smax[1:])
+    # reverse lexicographic order, so slab s_1 = smax_1 arrives first; empty
+    # blocks sample to exact zeros, so only nonzero ones are evaluated
+    slab_of, offset = np.divmod(np.ravel_multi_index(pos[::-1].T, smax), width)
+    squares = (
+        row
+        for _, values in _sample_chunks(f, [m[::-1] for m in masks], shape)
+        for row in np.square(values, out=values)
+    )
+    running = np.zeros((width, math.prod(shape)))
+    tail = np.empty_like(running)
+    shaped = tail.reshape(smax[1:] + (-1,))
+    norms = np.empty((smax[0], width))
+    k = 0
+    for i in range(smax[0] - 1, -1, -1):
+        while k < len(slab_of) and slab_of[k] == i:
+            running[offset[k]] += next(squares)
+            k += 1
+        np.copyto(tail, running)
+        # suffix sums in place over the other axes: the additions of a
+        # reversed cumsum, with the operands swapped (IEEE addition commutes)
+        for axis in range(len(smax) - 1):
+            view = np.moveaxis(shaped, axis, 0)
+            for j in range(view.shape[0] - 2, -1, -1):
+                view[j] += view[j + 1]
+        # batch_norms' abs is the identity on square roots, so it is skipped
+        norms[i] = _reduce_powered(np.power(np.sqrt(tail, out=tail), lp.tau, out=tail), lp)
+    return norms.reshape(smax)
 
 
 def _tensor_tails(f: TrigPoly, smax, lp: LorentzParams, shape) -> np.ndarray:
@@ -276,7 +306,7 @@ def _tensor_tails(f: TrigPoly, smax, lp: LorentzParams, shape) -> np.ndarray:
     tables = []
     for fac, masks, n, N in zip(f.factors, _block_tables(f), f.degree, shape):
         sums = _axis_powers(n, fac * masks, N, 2.0)
-        # suffix sums in place, as in the lattice path
+        # suffix sums in place, as in the slab path
         for i in range(len(sums) - 2, -1, -1):
             sums[i] += sums[i + 1]
         tables.append(np.power(sums, lp.tau / 2.0, out=sums))

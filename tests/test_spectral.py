@@ -1,6 +1,7 @@
 """Dyadic block structure, partial sums, and corner complements."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from mixsmooth import lorentz
 from mixsmooth.core import (
+    GridTooCoarse,
     InvalidParams,
     LorentzParams,
     TrigPoly,
@@ -30,6 +32,7 @@ from mixsmooth.spectral import (
     partial_sum,
     tail_square_norms,
 )
+from mixsmooth.verify import generate_corpus
 
 from test_core import random_poly
 from test_lorentz import (
@@ -301,3 +304,86 @@ def test_tail_square_norms_equal_reversed_cumsum_oracle(dim, degree, shape):
     f = ring_poly(np.random.default_rng(43 + dim), dim, degree)
     for lp in (LorentzParams(3.0, 1.5), L2):
         assert np.array_equal(tail_square_norms(f, lp, shape), tail_oracle(f, lp, shape))
+
+
+def gappy_poly(dim):
+    """Dense real input whose axis-0 slabs s_1 = 1 and 3 hold no block.
+
+    Axis 0 has degree 24, so smax_1 = 5.  At m >= 2 the frequencies |k_1| >= 16
+    sit only where every other k_j = 0, outside every block, so the top slab
+    is empty too, while it still sets smax_1.
+    """
+    f = random_poly(np.random.default_rng(71 + dim), dim, (24, 5, 3)[:dim])
+    k = np.meshgrid(*[np.abs(f.freqs(axis)) for axis in range(dim)], indexing="ij")
+    block = np.frexp(k[0].astype(float))[1]
+    others = np.logical_or.reduce(k[1:])  # np.False_ at m = 1
+    keep = (block != 1) & (block != 3) & ((block != 5) | ~others)
+    return TrigPoly(dim, f.degree, f.coeffs * keep)
+
+
+GAPPY_SHAPES = {1: (64,), 2: (64, 16), 3: (64, 16, 8)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tail_square_norms_with_empty_slabs_equal_the_oracle(dim):
+    f, shape = gappy_poly(dim), GAPPY_SHAPES[dim]
+    assert max_block_index(f)[0] == 5
+    for lp in (LorentzParams(3.0, 1.5), L2, LorentzParams(3.0, 3.0)):
+        got = tail_square_norms(f, lp, shape)
+        assert np.array_equal(got, tail_oracle(f, lp, shape))
+        # an empty slab adds nothing: its tails are those of the slab above
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[2], got[3])
+        assert np.all(got[:4] > 0.0)
+        # at m >= 2 the top slab holds no block, at m = 1 it does
+        assert np.all(got[4] == 0.0) == (dim > 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tail_square_norms_sample_every_block_once(monkeypatch, dim):
+    f, shape = gappy_poly(dim), GAPPY_SHAPES[dim]
+    blocks = [b.coeffs for b in decompose(f).blocks.values()]
+    # two rows per chunk, so chunks cross slab boundaries
+    monkeypatch.setattr(lorentz, "_CHUNK_BYTES", 2 * 16 * math.prod(shape))
+    batches = record_batches(monkeypatch)
+    tail_square_norms(f, LorentzParams(3.0, 1.5), shape)
+    rows = [row for _, batch in batches for row in batch]
+    assert len(batches) > 1 and len(rows) == len(blocks)
+    for coeffs in blocks:
+        assert sum(np.array_equal(row, coeffs) for row in rows) == 1
+
+
+@pytest.mark.parametrize(
+    "dim, degree, shape", [(2, 31, (128, 128)), (3, (31, 3, 3), (64, 16, 16))]
+)
+def test_tail_square_norms_hold_two_slabs_not_the_lattice(monkeypatch, dim, degree, shape):
+    f = ring_poly(np.random.default_rng(73), dim, degree)
+    smax = max_block_index(f)
+    size = math.prod(shape)
+    monkeypatch.setattr(lorentz, "_CHUNK_BYTES", 16 * size)  # one row per chunk
+    lp = LorentzParams(3.0, 1.5)
+    tail_square_norms(f, lp, shape)  # caches the step weights
+    tracemalloc.start()
+    try:
+        tail_square_norms(f, lp, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lattice = math.prod(smax) * size * 8
+    slab = math.prod(smax[1:]) * size * 8
+    # two slabs, plus one chunk's coefficient batch, FFT buffers and samples,
+    # which stay within a few _CHUNK_BYTES
+    assert peak <= 2 * slab + 3 * lorentz._CHUNK_BYTES < lattice
+
+
+def test_tail_square_norms_check_the_grid_on_both_paths():
+    corpus = {cf.fid: cf.poly for cf in generate_corpus(7, 2, 8)}
+    dense, product = corpus["random_decay/0"], corpus["tensor/0"]
+    assert dense.factors is None and product.factors is not None
+    lp = LorentzParams(3.0, 1.5)
+    for f in (dense, product):
+        assert np.array_equal(tail_square_norms(f, lp, 32), tail_square_norms(f, lp, (32, 32)))
+        for shape in ((32,), (32, 32, 32)):
+            with pytest.raises(InvalidParams):
+                tail_square_norms(f, lp, shape)
+        with pytest.raises(GridTooCoarse, match=r"grid \(8, 32\) cannot resolve degree"):
+            tail_square_norms(f, lp, (8, 32))
