@@ -5,6 +5,11 @@ For each comparison functional, track the corpus max ratio as the corpus
 degree cap doubles. Flat curves mean the comparison constants are genuinely
 uniform; a rising curve would point at a degree-dependent constant (or a
 harness bug). Emits CSV: check,dim,max_degree,ratio_min,ratio_max.
+
+    python scripts/ratio_scaling.py --dim 3 --degrees 4,8
+
+gives the m = 3 deg 4 and 8 rows of the lemma5_inverse ladder in ROADMAP.md
+item 1 (max ratio 0.3935, then 1.714; about 30 s on a 2-core x86_64 host).
 """
 
 import argparse
@@ -14,7 +19,15 @@ import sys
 from mixsmooth.core import LorentzParams, SmoothParams
 from mixsmooth.verify import VerifyConfig, Workspace, generate_corpus, run_check
 
-CHECKS = ("lemma1_deriv", "lemma2_bernstein", "lemma4_direct", "thm1", "thm2", "thm3")
+CHECKS = (
+    "lemma1_deriv",
+    "lemma2_bernstein",
+    "lemma4_direct",
+    "lemma5_inverse",
+    "thm1",
+    "thm2",
+    "thm3",
+)
 
 
 def main(argv=None):

@@ -122,7 +122,10 @@ def _float_list(text: str, dim: int, name: str) -> tuple[float, ...]:
 
 
 def _int_list(text: str, dim: int, name: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in _float_list(text, dim, name))
+    vals = _float_list(text, dim, name)
+    if not all(v.is_integer() for v in vals):
+        raise InvalidParams(f"--{name} wants integers, got {text!r}")
+    return tuple(int(v) for v in vals)
 
 
 def _require_ring(f: TrigPoly, kind: str):

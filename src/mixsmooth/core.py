@@ -457,10 +457,20 @@ def evaluate_on_grid(f: TrigPoly, shape=None) -> np.ndarray:
     at construction) are sampled with the half-spectrum real inverse FFT and
     return float64 samples; any other f returns complex128 samples.
     """
+    return _ifft_box(f.coeffs[None, ...], f.degree, _grid(f, shape), real=f.real)[0]
+
+
+def _grid(f: TrigPoly, shape) -> tuple[int, ...]:
+    """The sampling grid of f: one N_j per axis, default_grid_shape when shape is None.
+
+    shape may be a scalar or one entry per axis (else InvalidParams); the
+    grid must pass _check_grid.
+    """
     if shape is None:
         shape = default_grid_shape(f.dim, f.degree)
     shape = _as_int_tuple(shape, f.dim, "shape")
-    return _ifft_box(f.coeffs[None, ...], f.degree, shape, real=f.real)[0]
+    _check_grid(f.degree, shape)
+    return shape
 
 
 def _check_grid(degree, shape) -> None:

@@ -15,10 +15,9 @@ p = tau = 2, where they are not sampled at all.
 
 - The m-dimensional path samples coefficient tensors with
   evaluate_coeff_batch, which picks the real or complex FFT path per row: a
-  single polynomial as a one-row batch, and a stack of tensor-multiplier
-  images of one polynomial (multiplier_norms, and the square functions of
-  spectral.tail_square_norms) in one chunk loop that bounds the samples held
-  at once.
+  stack of tensor-multiplier images of one polynomial (multiplier_norms, and
+  the square functions of spectral.tail_square_norms) in one chunk loop that
+  bounds the samples held at once.
 - The per-axis path serves a product of one-axis polynomials, one whose
   TrigPoly.factors is set.  Every multiplier the package applies (mixed
   difference factors, dyadic block masks, cutoff residual masks) is a
@@ -33,8 +32,9 @@ On both paths a row that is all zero (a difference step with some h_j = 0, a
 cutoff past the spectrum) is not sampled, and its norm is +0.0, which is what
 every reduction returns for a zero row.  Every grid must resolve the degree
 (N_j >= 2 n_j + 1, core._check_grid), or GridTooCoarse is raised, whether the
-rows are sampled or not.  The reductions of multiplier_norms, and of
-lorentz_norm and poly_norm of a polynomial, by (p, tau):
+rows are sampled or not.  multiplier_norms is the one place that picks the
+path and the reduction; lorentz_norm and poly_norm of a polynomial are its one
+row with unit factors.  The reductions, by (p, tau):
 
 - tau != p: the m-dimensional path powers the samples' absolute values by
   tau (batch_norms); then rows of |x|^tau are negated and sorted in place
@@ -64,8 +64,9 @@ a time, and each slab, once complete, is reduced as batch_norms would, so
 the tails equal a reversed-cumsum oracle on the whole lattice bit for bit
 (test_tail_square_norms_equal_reversed_cumsum_oracle) while at most two
 slabs, prod_{j >= 2} smax_j rows of prod N float64, and one chunk are
-held.  Every row sum is numpy's pairwise sum of that row alone, never a BLAS dot, so on every path a
-norm has the same bits alone as in any batch, chunking or BLAS thread count.
+held.  Every row sum is numpy's pairwise sum of that row alone, never a
+BLAS dot, so on every path a norm has the same bits alone as in any batch,
+chunking or BLAS thread count.
 lorentz_norm_sorted is the closed form above on pre-sorted rows, kept as the
 reference the tests compare with.
 """
@@ -76,16 +77,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    InvalidParams,
-    LorentzParams,
-    TrigPoly,
-    _as_int_tuple,
-    _check_grid,
-    axis_product,
-    default_grid_shape,
-    evaluate_coeff_batch,
-)
+from .core import InvalidParams, LorentzParams, TrigPoly, _grid, axis_product, evaluate_coeff_batch
 
 __all__ = [
     "lorentz_norm",
@@ -96,11 +88,13 @@ __all__ = [
     "norm_with_refinement",
 ]
 
-# Bound on rows x grid points x 16 B per evaluate_coeff_batch call, which
-# bounds peak memory.  A complex-path chunk holds complex128 samples (16 B per
-# point); a real-path chunk holds float64 samples (8 B per point) plus an
-# (n_m + 1)-wide complex half spectrum.  The abs, power and sort steps share
-# one float64 copy.  Twice the rows per chunk ran verify slower, not faster.
+# Bound on rows x grid points x 16 B per evaluate_coeff_batch call.  It bounds
+# one chunk's samples, not the chunk's memory: the coefficient batch, its
+# batch[rows] copy and the FFT buffers come on top, and under tracemalloc a
+# dense chunk held 2-4x this.  A complex-path chunk holds complex128 samples
+# (16 B per point); a real-path chunk holds float64 samples (8 B per point)
+# plus an (n_m + 1)-wide complex half spectrum.  The abs, power and sort steps
+# share one float64 copy.  Twice the rows per chunk ran verify slower.
 # A per-axis chunk takes the same number of rows, as one float64 outer product.
 # At p = tau = 2 a chunk is rows x coefficient-box points x 16 B instead: the
 # float64 products of |f.coeffs|^2 with the rows' |factors|^2 fill half of it.
@@ -301,26 +295,14 @@ def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.
 
     factors holds one entry per axis: a 1-D factor shared by every row, or a
     (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b],
-    taken as samples on `shape`; a grid with N_j < 2 n_j + 1 on some axis
-    raises GridTooCoarse on every path.
-
-    - At p = tau = 2 nothing is sampled: the norms are read off the
-      coefficients (_energy_norms, discrete Parseval), for a tensor member
-      as the product of its per-axis energies.
-    - Otherwise, when f.factors is set (a product of one-axis polynomials),
-      row b is the tensor product of the one-axis rows f.factors[j] *
-      factors[j][b], which are sampled one axis at a time (_tensor_norms).
-    - Otherwise the rows are sampled on `shape` in chunks that bound the FFT
-      memory, and each chunk is reduced as soon as it is sampled: by its
-      plain L_p means at tau = p (_mean_norms), else by batch_norms.
-
-    The paths agree to a few ulps.  An all-zero row is not sampled; its norm
-    is +0.0.
+    taken as samples on `shape` (core._grid).  The path and the reduction
+    are picked here, by the rules of the module docstring: at p = tau = 2
+    the norms are read off the coefficients (_energy_norms); otherwise a
+    product of one-axis polynomials is sampled one axis at a time
+    (_tensor_norms), and any other f on `shape` in chunks, each reduced as
+    soon as it is sampled (_mean_norms at tau = p, else batch_norms).
     """
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
-    shape = _as_int_tuple(shape, f.dim, "shape")
-    _check_grid(f.degree, shape)
+    shape = _grid(f, shape)
     factors = [np.atleast_2d(fac) for fac in factors]
     (count,) = np.broadcast_shapes(*(fac.shape[:-1] for fac in factors))
     stacks = [np.broadcast_to(fac, (count, fac.shape[-1])) for fac in factors]
@@ -339,28 +321,15 @@ def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.
 def lorentz_norm(obj, lp: LorentzParams, shape=None) -> float:
     """Lorentz (p, tau) norm of a polynomial or of an array of samples.
 
-    A TrigPoly is taken on `shape` (default: default_grid_shape, never below
-    the alias-free bound) as the one row of multiplier_norms with unit
-    factors, with that row's reduction and bits: read off the coefficients at
-    p = tau = 2, sampled one axis at a time when obj.factors is set, else
-    sampled as a one-row evaluate_coeff_batch and reduced by its plain L_p
-    mean at tau = p or by batch_norms.  An array of real or complex samples
-    is taken as one row and reduced by batch_norms, sort included, at every
-    (p, tau).
+    A TrigPoly is the one row of multiplier_norms with unit factors, on
+    `shape` (default: default_grid_shape, never below the alias-free bound),
+    so it takes that row's path, reduction and bits.  An array of real or
+    complex samples is taken as one row and reduced by batch_norms, sort
+    included, at every (p, tau).
     """
     if isinstance(obj, TrigPoly):
-        if shape is None:
-            shape = default_grid_shape(obj.dim, obj.degree)
-        shape = _as_int_tuple(shape, obj.dim, "shape")
-        _check_grid(obj.degree, shape)
-        if lp.p == lp.tau == 2.0:
-            norms = _energy_norms(obj, [np.ones((1, 2 * n + 1)) for n in obj.degree])
-        elif obj.factors is not None:
-            norms = _tensor_norms(obj.degree, [fac[None] for fac in obj.factors], lp, shape)
-        else:
-            values = evaluate_coeff_batch(obj.degree, obj.coeffs[None], shape)
-            norms = (_mean_norms if lp.tau == lp.p else batch_norms)(values, lp)
-        return float(norms[0])
+        ones = [np.ones(2 * n + 1) for n in obj.degree]
+        return float(multiplier_norms(obj, ones, lp, shape)[0])
     if not isinstance(obj, np.ndarray):
         raise InvalidParams(f"cannot take a Lorentz norm of {type(obj).__name__}")
     if obj.size == 0:
@@ -382,9 +351,7 @@ def norm_with_refinement(f: TrigPoly, lp: LorentzParams, shape=None) -> tuple[fl
     coefficients (discrete Parseval holds on every alias-free grid), so the
     delta is exactly 0.0.
     """
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
-    shape = _as_int_tuple(shape, f.dim, "shape")
+    shape = _grid(f, shape)
     coarse = lorentz_norm(f, lp, shape)
     fine = lorentz_norm(f, lp, tuple(2 * s for s in shape))
     if fine == 0.0:

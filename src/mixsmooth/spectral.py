@@ -17,15 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    InvalidParams,
-    LorentzParams,
-    TrigPoly,
-    _as_int_tuple,
-    _check_grid,
-    axis_product,
-    default_grid_shape,
-)
+from .core import InvalidParams, LorentzParams, TrigPoly, _grid, axis_product
 from .lorentz import _axis_powers, _outer_norms, _reduce_powered, _sample_chunks, multiplier_norms
 
 __all__ = [
@@ -256,10 +248,7 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
     scalar or one N_j per axis; a grid with N_j < 2 n_j + 1 raises
     GridTooCoarse on both paths.
     """
-    if shape is None:
-        shape = default_grid_shape(f.dim, f.degree)
-    shape = _as_int_tuple(shape, f.dim, "shape")
-    _check_grid(f.degree, shape)
+    shape = _grid(f, shape)
     smax = max_block_index(f)
     if any(v == 0 for v in smax):
         raise InvalidParams("tail norms need a nonzero spectrum on every axis")

@@ -951,6 +951,8 @@ def run_check(
     config = config or VerifyConfig()
     if lp.tau <= 1.0:
         raise InvalidParams("the verification harness requires 1 < tau < inf")
+    if config.h_grid < 2:
+        raise InvalidParams(f"h_grid must be >= 2, got {config.h_grid}")
     validate_params(lp, sp, corpus.dim)
     ws = workspace if workspace is not None else Workspace(corpus, config)
     common = {

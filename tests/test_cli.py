@@ -230,6 +230,43 @@ def test_verify_unknown_check_is_config_error(tmp_path, capsys):
     assert "lemma99" in err
 
 
+@pytest.mark.parametrize("h_grid", ["0", "1"])
+def test_verify_h_grid_below_two_is_config_error(tmp_path, capsys, h_grid):
+    code, out, err = run_cli(
+        ["verify", "--check", "lemma1_deriv", "--max-degree", "8", "--no-stability",
+         "--h-grid", h_grid, "--out", str(tmp_path / "v")],
+        capsys,
+    )
+    assert code == 2
+    assert f"h_grid must be >= 2, got {h_grid}" in err
+    assert "pass" not in out
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["verify", "--check", "thm1", "--k", "1.7"], "k"),
+        (["verify", "--check", "thm1", "--k", "0.5"], "k"),
+        (["modulus", "--fn", "cos:3", "--levels", "2.9"], "levels"),
+        (["norm", "--kind", "boldB", "--fn", "cos:3", "--levels", "2.5"], "levels"),
+        (["angle", "--fn", "prod(cos:2,cos:3)", "--k", "1,inf"], "k"),
+        (["modulus", "--fn", "cos:3", "--levels", "nan"], "levels"),
+    ],
+)
+def test_non_integer_int_flags_are_config_errors(tmp_path, capsys, args, flag):
+    if args[0] == "verify":
+        args = args + ["--out", str(tmp_path / "v")]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert f"error: --{flag} wants integers" in err
+    assert out == ""
+
+
+def test_int_flags_take_integral_floats():
+    assert cli._int_list("1,2.0", 2, "k") == (1, 2)
+    assert cli._int_list("3", 2, "levels") == (3, 3)
+
+
 def test_verify_thread_env(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("MIXSMOOTH_THREADS", "2")
     out_dir = tmp_path / "v2"

@@ -32,7 +32,7 @@ from mixsmooth.lorentz import (
     poly_norm,
 )
 from mixsmooth.smoothness import _difference_factors, derivative
-from mixsmooth.spectral import _block_tables, _nonzero_rows, _residual_masks
+from mixsmooth.spectral import _block_tables, _nonzero_rows, _residual_masks, tail_square_norms
 from mixsmooth.verify import generate_corpus
 
 from test_core import random_poly, record_paths, tensor_member
@@ -725,11 +725,19 @@ def test_every_path_rejects_a_too_coarse_grid_with_one_message(name, f, shape):
     factors, _ = multiplier_stacks(f)["differences"]
     zero = [np.zeros_like(np.atleast_2d(fac)) for fac in factors]  # samples nothing
     for lp in TAU_EQUAL_P + [LorentzParams(3.0, 1.5)]:
-        for call in (
-            lambda: poly_norm(f, lp, coarse),
-            lambda: multiplier_norms(f, factors, lp, coarse),
-            lambda: multiplier_norms(f, zero, lp, coarse),
-        ):
+        # every caller of core._grid, on every (p, tau) path
+        calls = {
+            "poly_norm": lambda grid: poly_norm(f, lp, grid),
+            "multiplier_norms": lambda grid: multiplier_norms(f, factors, lp, grid),
+            "multiplier_norms zero rows": lambda grid: multiplier_norms(f, zero, lp, grid),
+            "tail_square_norms": lambda grid: tail_square_norms(f, lp, grid),
+            "norm_with_refinement": lambda grid: norm_with_refinement(f, lp, grid),
+            "evaluate_on_grid": lambda grid: evaluate_on_grid(f, grid),
+        }
+        for caller, call in calls.items():
             with pytest.raises(GridTooCoarse) as exc:
-                call()
-            assert str(exc.value) == want
+                call(coarse)
+            assert str(exc.value) == want, caller
+            # one entry short of one per axis
+            with pytest.raises(InvalidParams, match="shape must have one entry per axis"):
+                call(shape[:-1])

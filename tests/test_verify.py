@@ -13,7 +13,7 @@ import pytest
 import mixsmooth.seqnorms
 import mixsmooth.smoothness
 import mixsmooth.verify
-from mixsmooth.core import LorentzParams, SmoothParams
+from mixsmooth.core import InvalidParams, LorentzParams, SmoothParams
 from mixsmooth.seqnorms import theorem1_rhs, theorem2_rhs, theorem3_norm, theorem5_condition
 from mixsmooth.smoothness import (
     difference_norms,
@@ -142,6 +142,15 @@ def small_corpus():
 def test_unknown_check_raises(small_corpus):
     with pytest.raises(UnknownCheck):
         run_check("lemma9_missing", small_corpus, LP, SP)
+
+
+@pytest.mark.parametrize("h_grid", [0, 1])
+def test_h_grid_below_two_raises(small_corpus, h_grid):
+    # below two points per axis the step lattice holds at most h = 0, where
+    # every difference vanishes, so a pass would say nothing
+    cfg = VerifyConfig(h_grid=h_grid, stability=False)
+    with pytest.raises(InvalidParams, match=f"h_grid must be >= 2, got {h_grid}"):
+        run_check("lemma1_deriv", small_corpus, LP, SP, config=cfg)
 
 
 def test_equal_parameter_objects_share_workspace_entries(small_corpus):
