@@ -4,12 +4,14 @@
 For each comparison functional, track the corpus max ratio as the corpus
 degree cap doubles. Flat curves mean the comparison constants are genuinely
 uniform; a rising curve would point at a degree-dependent constant (or a
-harness bug). Emits CSV: check,dim,max_degree,ratio_min,ratio_max.
+harness bug). Emits CSV: check,dim,max_degree,ratio_min,ratio_max,max_fid,
+where max_fid names the row of the max ratio (the first such row on a tie).
 
     python scripts/ratio_scaling.py --dim 3 --degrees 4,8
 
 gives the m = 3 deg 4 and 8 rows of the lemma5_inverse ladder in ROADMAP.md
-item 1 (max ratio 0.3935, then 1.714; about 30 s on a 2-core x86_64 host).
+item 1 (max ratio 0.3935 at single_block/1@n=3, then 1.714 at
+single_block/2@n=3; about 30 s on a 2-core x86_64 host).
 """
 
 import argparse
@@ -54,14 +56,15 @@ def main(argv=None):
             rep = run_check(check, corpus, lp, sp, config=cfg, workspace=ws)
             if rep.stats is None:
                 continue
-            rows.append((check, args.dim, degree, rep.stats["min"], rep.stats["max"]))
-            print(f"{check} deg<={degree}: [{rep.stats['min']:.4g}, {rep.stats['max']:.4g}]",
-                  file=sys.stderr)
+            top = max((r for r in rep.rows if r.ratio is not None), key=lambda r: r.ratio)
+            rows.append((check, args.dim, degree, rep.stats["min"], rep.stats["max"], top.fid))
+            print(f"{check} deg<={degree}: [{rep.stats['min']:.4g}, {rep.stats['max']:.4g}]"
+                  f" max at {top.fid}", file=sys.stderr)
 
     sink = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["check", "dim", "max_degree", "ratio_min", "ratio_max"])
-    writer.writerows([c, d, m, repr(lo), repr(hi)] for c, d, m, lo, hi in rows)
+    writer.writerow(["check", "dim", "max_degree", "ratio_min", "ratio_max", "max_fid"])
+    writer.writerows([c, d, m, repr(lo), repr(hi), fid] for c, d, m, lo, hi, fid in rows)
     if sink is not sys.stdout:
         sink.close()
     return 0

@@ -31,7 +31,7 @@ from .core import (
     default_grid_shape,
     tensor,
 )
-from .lorentz import norm_with_refinement, poly_norm
+from .lorentz import norm_with_refinement
 from .seqnorms import seq_norm_B, norm_bold_B
 from .smoothness import TailNotConverged, mixed_modulus, modulus_grid
 from .spectral import angle_residual_norms, block_norms

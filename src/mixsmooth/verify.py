@@ -279,27 +279,25 @@ class RatioRow:
         return self.lhs / self.rhs
 
 
+def _min_median_max(values) -> dict:
+    return {
+        "min": float(np.min(values)),
+        "median": float(np.median(values)),
+        "max": float(np.max(values)),
+    }
+
+
 def _row_stats(rows) -> tuple[dict | None, int, list[str]]:
-    ratios = []
-    zero_zero = 0
-    failures = []
-    for row in rows:
-        if row.rhs == 0.0:
-            if row.lhs == 0.0:
-                zero_zero += 1
-            else:
-                failures.append(f"{row.fid}: nonzero lhs {row.lhs!r} over zero rhs")
-        else:
-            ratios.append(row.lhs / row.rhs)
+    ratios = [row.ratio for row in rows if row.rhs != 0.0]
+    zero_zero = sum(row.lhs == 0.0 for row in rows if row.rhs == 0.0)
+    failures = [
+        f"{row.fid}: nonzero lhs {row.lhs!r} over zero rhs"
+        for row in rows
+        if row.rhs == 0.0 and row.lhs != 0.0
+    ]
     if not ratios:
         return None, zero_zero, failures
-    stats = {
-        "count": len(ratios),
-        "min": float(np.min(ratios)),
-        "median": float(np.median(ratios)),
-        "max": float(np.max(ratios)),
-    }
-    return stats, zero_zero, failures
+    return {"count": len(ratios), **_min_median_max(ratios)}, zero_zero, failures
 
 
 @dataclass(frozen=True)
@@ -392,6 +390,11 @@ class Workspace:
     the subadd maxima) reads its steps through step_norms, every cutoff sum
     its residuals through y_values.  A row's norm does not depend on its
     batch, so each quantity has the bits of its fresh build.
+
+    The rows of the checks that read only (p, tau), k and h_grid (lemmas
+    1-5, rel_2_2_weight, lp_equivalence) are cached too, under (check, p,
+    tau, k, h_grid): only theorems 1-5 read theta and b, so a battery that
+    sweeps (theta, b) at one (p, tau) builds those rows once, not per sweep.
 
     Threads may share a workspace: each cache key and each memo is built
     under its own lock, so it is built once and never read half-built.
@@ -505,10 +508,8 @@ class Workspace:
         return self.y_values(fid, lp, [cutoff])[0]
 
     def kernel_residual(self, fid: str, lp: LorentzParams, l: tuple, k: tuple) -> float:
-        key = ("kres", fid, lp, tuple(l), tuple(k))
-        return self._get(
-            key, lambda: kernel_residual_norm(self.poly(fid), l, lp, k, self.shape(fid))
-        )
+        # not cached: only lemma3_sandwich reads it, once per key of its rows
+        return kernel_residual_norm(self.poly(fid), l, lp, k, self.shape(fid))
 
     def _grid(self, fid: str, lp: LorentzParams, k: tuple, box: tuple) -> ModulusGrid:
         # modulus_grid(f, k, lp, box), its lattice read through the memo
@@ -603,10 +604,10 @@ def _dyadic_levels(l_min: int, l_max: int) -> list[int]:
     return out
 
 
-def _check_lemma1_monotone(corpus, lp, sp, cfg, ws: Workspace):
+def _check_lemma1_monotone(corpus, lp, k, cfg, ws: Workspace):
     rows = []
     for cf in corpus:
-        vals = ws.mod_grid(cf.fid, lp, sp.k).values
+        vals = ws.mod_grid(cf.fid, lp, k).values
         pairs = [
             (np.take(vals, range(1, n), axis=axis).ravel(),
              np.take(vals, range(0, n - 1), axis=axis).ravel())
@@ -629,7 +630,7 @@ def _check_lemma1_monotone(corpus, lp, sp, cfg, ws: Workspace):
     return rows, {}
 
 
-def _check_lemma1_subadd(corpus, lp, sp, cfg, ws: Workspace):
+def _check_lemma1_subadd(corpus, lp, k, cfg, ws: Workspace):
     # The inequality needs all three maxima taken over one common h-set, so
     # this check builds an explicit shared lattice instead of reusing the
     # degree-adapted lattices of mixed_modulus.
@@ -637,79 +638,74 @@ def _check_lemma1_subadd(corpus, lp, sp, cfg, ws: Workspace):
     members = list(corpus)
     for i, cf in enumerate(members):
         cg = members[(i + 1) % len(members)]
-        if cg.fid == cf.fid:
-            continue
-        if cf.poly.dim != cg.poly.dim:
+        if cg.fid == cf.fid or cf.poly.dim != cg.poly.dim:
             continue
         for t in (0.75, 0.2):
             h_list = _step_lattice((t,) * cf.poly.dim, cfg.h_grid)
             lhs, rf, rg = (
-                float(np.max(ws.step_norms(member, lp, sp.k, h_list)))
+                float(np.max(ws.step_norms(member, lp, k, h_list)))
                 for member in ((cf.fid, cg.fid), cf.fid, cg.fid)
             )
             rows.append(RatioRow(f"{cf.fid}+{cg.fid}@t={t}", lhs, rf + rg))
     return rows, {}
 
 
-def _check_lemma1_deriv(corpus, lp, sp, cfg, ws: Workspace):
+def _check_lemma1_deriv(corpus, lp, k, cfg, ws: Workspace):
     rows = []
     for cf in corpus:
-        dnorm = ws.deriv_norm(cf.fid, lp, sp.k)
+        dnorm = ws.deriv_norm(cf.fid, lp, k)
         for t in (0.5, 0.1, 0.02):
             tv = _diag(t, cf.poly.dim)
-            lhs = ws.modulus(cf.fid, lp, sp.k, tv)
-            rhs = float(np.prod([tj**kj for tj, kj in zip(tv, sp.k)])) * dnorm
+            lhs = ws.modulus(cf.fid, lp, k, tv)
+            rhs = math.prod(tj**kj for tj, kj in zip(tv, k)) * dnorm
             rows.append(RatioRow(f"{cf.fid}@t={t}", lhs, rhs))
     return rows, {}
 
 
-def _check_lemma2_bernstein(corpus, lp, sp, cfg, ws: Workspace):
+def _check_lemma2_bernstein(corpus, lp, k, cfg, ws: Workspace):
     rows = []
     for cf in corpus:
         n = ws.tight_degree(cf.fid)
-        lhs = ws.deriv_norm(cf.fid, lp, sp.k)
-        rhs = float(np.prod([(nj + 1.0) ** kj for nj, kj in zip(n, sp.k)])) * ws.norm(
-            cf.fid, lp
-        )
+        lhs = ws.deriv_norm(cf.fid, lp, k)
+        rhs = math.prod((nj + 1.0) ** kj for nj, kj in zip(n, k)) * ws.norm(cf.fid, lp)
         rows.append(RatioRow(cf.fid, lhs, rhs))
     return rows, {}
 
 
-def _check_lemma3_sandwich(corpus, lp, sp, cfg, ws: Workspace):
+def _cutoff_rows(corpus, lp, ws: Workspace, rhs):
+    # per member and dyadic cutoff l: its angle residual y_l over rhs(fid, l)
     rows = []
     for cf in corpus:
         levels = [(l,) * cf.poly.dim for l in _dyadic_levels(1, max(ws.tight_degree(cf.fid)))]
         for l, lhs in zip(levels, ws.y_values(cf.fid, lp, levels)):
-            rhs = ws.kernel_residual(cf.fid, lp, l, sp.k)
-            rows.append(RatioRow(f"{cf.fid}@l={l[0]}", lhs, rhs))
+            rows.append(RatioRow(f"{cf.fid}@l={l[0]}", lhs, rhs(cf.fid, l)))
     return rows, {}
 
 
-def _check_lemma4_direct(corpus, lp, sp, cfg, ws: Workspace):
-    rows = []
-    for cf in corpus:
-        levels = [(l,) * cf.poly.dim for l in _dyadic_levels(1, max(ws.tight_degree(cf.fid)))]
-        for l, lhs in zip(levels, ws.y_values(cf.fid, lp, levels)):
-            t = tuple(1.0 / (v + 1.0) for v in l)
-            rhs = ws.modulus(cf.fid, lp, sp.k, t)
-            rows.append(RatioRow(f"{cf.fid}@l={l[0]}", lhs, rhs))
-    return rows, {}
+def _check_lemma3_sandwich(corpus, lp, k, cfg, ws: Workspace):
+    return _cutoff_rows(corpus, lp, ws, lambda fid, l: ws.kernel_residual(fid, lp, l, k))
 
 
-def _check_lemma5_inverse(corpus, lp, sp, cfg, ws: Workspace):
+def _check_lemma4_direct(corpus, lp, k, cfg, ws: Workspace):
+    return _cutoff_rows(
+        corpus, lp, ws, lambda fid, l: ws.modulus(fid, lp, k, tuple(1.0 / (v + 1.0) for v in l))
+    )
+
+
+def _check_lemma5_inverse(corpus, lp, k, cfg, ws: Workspace):
     rows = []
     for cf in corpus:
         dim = cf.poly.dim
         for n in (3, 7):
             if n > max(ws.tight_degree(cf.fid)):
                 continue
-            lhs = ws.modulus(cf.fid, lp, sp.k, _diag(1.0 / (n + 1.0), dim))
+            lhs = ws.modulus(cf.fid, lp, k, _diag(1.0 / (n + 1.0), dim))
             nus = list(np.ndindex(*([n + 1] * dim)))
             acc = 0.0
             for nu, y in zip(nus, ws.y_values(cf.fid, lp, nus)):
-                w = float(np.prod([(v + 1.0) ** (kj - 1.0) for v, kj in zip(nu, sp.k)]))
+                w = math.prod((v + 1.0) ** (kj - 1.0) for v, kj in zip(nu, k))
                 acc += w * y
-            rhs = float(np.prod([float(n) ** (-kj) for kj in sp.k])) * acc
+            rhs = math.prod(float(n) ** (-kj) for kj in k) * acc
             rows.append(RatioRow(f"{cf.fid}@n={n}", lhs, rhs))
     return rows, {}
 
@@ -722,7 +718,7 @@ def _log_weight_integral(nu: int, beta: float) -> float:
     return (u_hi ** (beta + 1.0) - u_lo ** (beta + 1.0)) / (beta + 1.0)
 
 
-def _check_rel_2_2_weight(corpus, lp, sp, cfg, ws: Workspace):
+def _check_rel_2_2_weight(corpus, lp, k, cfg, ws: Workspace):
     rows = []
     for nu in range(1, 21):
         for tb in (-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0):
@@ -743,11 +739,7 @@ def _check_thm1(corpus, lp, sp, cfg, ws: Workspace):
             semi_ratios.append(ws.semi(cf.fid, lp, sp).value / rhs_sum)
     aux = {}
     if semi_ratios:
-        aux["seminorm_only"] = {
-            "min": float(np.min(semi_ratios)),
-            "median": float(np.median(semi_ratios)),
-            "max": float(np.max(semi_ratios)),
-        }
+        aux["seminorm_only"] = _min_median_max(semi_ratios)
     return rows, aux
 
 
@@ -869,7 +861,7 @@ def _check_thm5_23(corpus, lp, sp, cfg, ws: Workspace):
     return rows, aux
 
 
-def _check_lp_equivalence(corpus, lp, sp, cfg, ws: Workspace):
+def _check_lp_equivalence(corpus, lp, k, cfg, ws: Workspace):
     rows = []
     for cf in corpus:
         sig = ws.tails(cf.fid, lp)
@@ -877,27 +869,28 @@ def _check_lp_equivalence(corpus, lp, sp, cfg, ws: Workspace):
     return rows, {}
 
 
-# name -> (body, corpus_based, sided); "upper" checks assert lhs <= C * rhs
+# name -> (body, corpus_based, sided, by_k); "upper" checks assert lhs <= C * rhs
 # (their ratio minimum may legitimately sink toward zero as degrees grow, so
 # the doubling probe tracks max growth), "both" checks assert an equivalence
-# window (the probe tracks max/min spread growth).
+# window (the probe tracks max/min spread growth).  A by_k body is called with
+# sp.k for sp: it reads only (p, tau), k and h_grid, so run_check memoizes it.
 _CHECK_BODIES = {
-    "lemma1_monotone": (_check_lemma1_monotone, True, "upper"),
-    "lemma1_subadd": (_check_lemma1_subadd, True, "upper"),
-    "lemma1_deriv": (_check_lemma1_deriv, True, "upper"),
-    "lemma2_bernstein": (_check_lemma2_bernstein, True, "upper"),
-    "lemma3_sandwich": (_check_lemma3_sandwich, True, "upper"),
-    "lemma4_direct": (_check_lemma4_direct, True, "upper"),
-    "lemma5_inverse": (_check_lemma5_inverse, True, "upper"),
-    "rel_2_2_weight": (_check_rel_2_2_weight, False, "both"),
-    "thm1": (_check_thm1, True, "both"),
-    "thm2": (_check_thm2, True, "both"),
-    "thm3": (_check_thm3, True, "upper"),
-    "thm4_lower": (_check_thm4_lower, True, "upper"),
-    "thm4_upper": (_check_thm4_upper, True, "upper"),
-    "thm5_1": (_check_thm5_1, True, "upper"),
-    "thm5_23": (_check_thm5_23, True, "upper"),
-    "lp_equivalence": (_check_lp_equivalence, True, "both"),
+    "lemma1_monotone": (_check_lemma1_monotone, True, "upper", True),
+    "lemma1_subadd": (_check_lemma1_subadd, True, "upper", True),
+    "lemma1_deriv": (_check_lemma1_deriv, True, "upper", True),
+    "lemma2_bernstein": (_check_lemma2_bernstein, True, "upper", True),
+    "lemma3_sandwich": (_check_lemma3_sandwich, True, "upper", True),
+    "lemma4_direct": (_check_lemma4_direct, True, "upper", True),
+    "lemma5_inverse": (_check_lemma5_inverse, True, "upper", True),
+    "rel_2_2_weight": (_check_rel_2_2_weight, False, "both", True),
+    "thm1": (_check_thm1, True, "both", False),
+    "thm2": (_check_thm2, True, "both", False),
+    "thm3": (_check_thm3, True, "upper", False),
+    "thm4_lower": (_check_thm4_lower, True, "upper", False),
+    "thm4_upper": (_check_thm4_upper, True, "upper", False),
+    "thm5_1": (_check_thm5_1, True, "upper", False),
+    "thm5_23": (_check_thm5_23, True, "upper", False),
+    "lp_equivalence": (_check_lp_equivalence, True, "both", True),
 }
 
 CHECK_NAMES = tuple(_CHECK_BODIES)
@@ -924,9 +917,7 @@ def _params_dict(lp: LorentzParams, sp: SmoothParams) -> dict:
 
 
 def _spread(stats: dict | None) -> float | None:
-    if not stats:
-        return None
-    if stats["min"] <= 0.0:
+    if not stats or stats["min"] <= 0.0:
         return None
     return stats["max"] / stats["min"]
 
@@ -945,16 +936,37 @@ def run_check(
     The stability probe reruns the same check on a corpus regenerated at twice
     max_degree (same seed and families) and compares the ratio spread; growth
     at or beyond the configured factor fails the verdict.  Checks whose
-    hypotheses exclude the given parameters report verdict "skipped".
+    hypotheses exclude the given parameters report verdict "skipped".  A
+    workspace must hold this corpus object, and a doubled_workspace the
+    corpus of the same seed and dim at twice max_degree (InvalidParams).
     """
-    body, corpus_based, sided = _registered(check)
+    body, corpus_based, sided, by_k = _registered(check)
     config = config or VerifyConfig()
     if lp.tau <= 1.0:
         raise InvalidParams("the verification harness requires 1 < tau < inf")
     if config.h_grid < 2:
         raise InvalidParams(f"h_grid must be >= 2, got {config.h_grid}")
     validate_params(lp, sp, corpus.dim)
+    if workspace is not None and workspace.corpus is not corpus:
+        raise InvalidParams("workspace was built for another corpus")
+    doubled = (corpus.seed, corpus.dim, 2 * corpus.max_degree)
+    c2 = doubled_workspace.corpus if doubled_workspace is not None else None
+    if c2 is not None and (c2.seed, c2.dim, c2.max_degree) != doubled:
+        raise InvalidParams(f"doubled_workspace needs (seed, dim, max_degree) = {doubled}")
     ws = workspace if workspace is not None else Workspace(corpus, config)
+
+    def measure(w: Workspace):
+        # rows, aux and row stats on w's corpus; a by_k body's are cached per key
+        def build():
+            rows, aux = body(w.corpus, lp, sp.k if by_k else sp, config, w)
+            return (tuple(rows), aux, *_row_stats(rows))
+
+        if not by_k:
+            return build()
+        key = ("check", check, lp, sp.k, config.h_grid)
+        rows, aux, stats, zero_zero, failures = w._get(key, build)
+        return rows, dict(aux), stats and dict(stats), zero_zero, failures  # a copy per report
+
     common = {
         "check": check,
         "dim": corpus.dim,
@@ -964,7 +976,7 @@ def run_check(
     }
     window = config.window_for(check, corpus.dim)
     try:
-        rows, aux = body(corpus, lp, sp, config, ws)
+        rows, aux, stats, zero_zero, failures = measure(ws)
     except UncoveredParams as exc:
         return RatioReport(
             rows=(),
@@ -977,16 +989,11 @@ def run_check(
             notes=f"{type(exc).__name__}: {exc}",
             **common,
         )
-    stats, zero_zero, failures = _row_stats(rows)
-    stability = None
+    stability = growth = None
     notes = []
     if corpus_based and config.stability:
-        ws2 = doubled_workspace or Workspace(
-            generate_corpus(corpus.seed, corpus.dim, corpus.max_degree * 2), config
-        )
-        rows2, _ = body(ws2.corpus, lp, sp, config, ws2)
-        stats2, zz2, fail2 = _row_stats(rows2)
-        growth = None
+        ws2 = doubled_workspace or Workspace(generate_corpus(*doubled), config)
+        _, _, stats2, zz2, fail2 = measure(ws2)
         if sided == "upper":
             if stats and stats2:
                 if stats["max"] > 0:
@@ -1005,7 +1012,7 @@ def run_check(
             "zero_zero": zz2,
             "spread_growth": growth,
         }
-        failures = tuple(failures) + tuple(f"doubled: {m}" for m in fail2)
+        failures = failures + [f"doubled: {m}" for m in fail2]
     verdict = "pass"
     if failures:
         verdict = "fail"
@@ -1019,18 +1026,11 @@ def run_check(
             notes.append(
                 f"ratios [{stats['min']:.6g}, {stats['max']:.6g}] escape window {list(window)}"
             )
-    if (
-        verdict != "skipped"
-        and stability
-        and stability.get("spread_growth") is not None
-        and stability["spread_growth"] >= config.stability_factor
-    ):
+    if verdict != "skipped" and growth is not None and growth >= config.stability_factor:
         verdict = "fail"
-        notes.append(
-            f"ratio spread grew {stability['spread_growth']:.3f}x under degree doubling"
-        )
+        notes.append(f"ratio spread grew {growth:.3f}x under degree doubling")
     return RatioReport(
-        rows=tuple(rows),
+        rows=rows,
         stats=stats,
         zero_zero=zero_zero,
         failures=tuple(failures),

@@ -330,6 +330,73 @@ def test_workspace_builds_each_key_and_difference_row_once(small_corpus, monkeyp
     assert max(built.values()) == 1
 
 
+THETA_B_FREE = (
+    "lemma1_monotone", "lemma1_subadd", "lemma1_deriv", "lemma2_bernstein", "lemma3_sandwich",
+    "lemma4_direct", "lemma5_inverse", "rel_2_2_weight", "lp_equivalence",
+)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_theta_b_free_checks_run_once_per_workspace(small_corpus, monkeypatch, threads):
+    # over the 7 battery (theta, b) at one (p, tau), a check that reads only
+    # (p, tau) and k runs once on each Workspace, the doubled one included,
+    # and a theorem check once per (theta, b); one pool runs every (theta, b)
+    # at once, so threads race for the same check key
+    calls = Counter()
+    lock = threading.Lock()
+    for name, (body, *rest) in list(mixsmooth.verify._CHECK_BODIES.items()):
+
+        def counting(corpus, lp, sp_or_k, cfg, ws, name=name, body=body):
+            with lock:
+                calls[(name, ws.corpus.max_degree)] += 1
+            return body(corpus, lp, sp_or_k, cfg, ws)
+
+        monkeypatch.setitem(mixsmooth.verify._CHECK_BODIES, name, (counting, *rest))
+    cfg = VerifyConfig(stability=True)
+    ws = Workspace(small_corpus, cfg)
+    wsd = Workspace(generate_corpus(seed=7, dim=1, max_degree=16), cfg)
+    lp = LorentzParams(3.0, 1.5)
+    items = [(check, SmoothParams(theta, b)) for theta, b in BATTERY_SP for check in CHECK_NAMES]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if threads > 1 else interval)
+    try:
+        parallel_map(
+            lambda item: run_check(item[0], small_corpus, lp, item[1], cfg, ws, wsd),
+            sorted(items, key=lambda item: item[0]),
+            threads,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert {name for name in CHECK_NAMES if calls[(name, 8)] == 1} == set(THETA_B_FREE)
+    for name in CHECK_NAMES:
+        probed = 0 if name == "rel_2_2_weight" else calls[(name, 8)]
+        assert calls[(name, 16)] == probed
+        if name not in THETA_B_FREE:
+            assert calls[(name, 8)] == len(BATTERY_SP)
+
+
+def test_run_check_rejects_a_workspace_of_another_corpus(small_corpus):
+    # a seed-8 Workspace would answer ws.poly(fid) with seed-8 members under
+    # a report stamped with small_corpus's seed
+    cfg = VerifyConfig(stability=False)
+    other = Workspace(generate_corpus(seed=8, dim=1, max_degree=8), cfg)
+    with pytest.raises(InvalidParams, match="another corpus"):
+        run_check("lemma2_bernstein", small_corpus, LP, SP, cfg, workspace=other)
+
+
+@pytest.mark.parametrize("seed, dim, degree", [(7, 1, 8), (8, 1, 16), (7, 2, 16), (7, 1, 32)])
+def test_run_check_rejects_a_doubled_workspace_not_at_twice_the_degree(
+    small_corpus, seed, dim, degree
+):
+    cfg = VerifyConfig(stability=True)
+    wrong = Workspace(generate_corpus(seed=seed, dim=dim, max_degree=degree), cfg)
+    with pytest.raises(InvalidParams, match="doubled_workspace"):
+        run_check("lemma2_bernstein", small_corpus, LP, SP, cfg, doubled_workspace=wrong)
+    right = Workspace(generate_corpus(seed=7, dim=1, max_degree=16), cfg)
+    rep = run_check("lemma2_bernstein", small_corpus, LP, SP, cfg, doubled_workspace=right)
+    assert rep.stability["max_degree"] == 16
+
+
 @pytest.mark.parametrize("threads", [1, 4])
 def test_cutoffs_and_tails_evaluated_once_per_key(small_corpus, monkeypatch, threads):
     # each (fid, p, tau, cutoff) row of angle_residual_norms and each
@@ -483,7 +550,7 @@ def test_lemma1_monotone_witness_is_tie_stable():
             return dataclasses.replace(grid, values=self.values)
 
     ws = OneGrid()
-    (want,), _ = _check_lemma1_monotone([cf], lp, sp, cfg, ws)
+    (want,), _ = _check_lemma1_monotone([cf], lp, sp.k, cfg, ws)
 
     # flat entry indices of every (finer, coarser) cell in scan order
     idx = np.arange(grid.values.size).reshape(shape)
@@ -509,7 +576,7 @@ def test_lemma1_monotone_witness_is_tie_stable():
             vals = grid.values.copy().ravel()
             vals[entry] = np.nextafter(vals[entry], toward)
             ws.values = vals.reshape(shape)
-            (got,), _ = _check_lemma1_monotone([cf], lp, sp, cfg, ws)
+            (got,), _ = _check_lemma1_monotone([cf], lp, sp.k, cfg, ws)
             assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
             moved += int(np.argmax(ratios(ws.values))) != int(np.argmax(r))
     assert moved > 0
