@@ -290,21 +290,13 @@ def cmd_verify(args) -> int:
     sp = SmoothParams(args.theta, _float_list(args.b, dim, "b"), _int_list(args.k, dim, "k"))
     threads = args.threads if args.threads else default_threads()
     windows = None if args.no_windows else load_golden_windows()
-    config = VerifyConfig(
-        h_grid=args.h_grid,
-        stability=not args.no_stability,
-        threads=threads,
-        windows=windows,
-    )
+    config = VerifyConfig(h_grid=args.h_grid, stability=not args.no_stability, windows=windows)
     corpus = generate_corpus(args.seed, dim, max_degree)
     ws = Workspace(corpus, config)
-    ws2 = None
-    if config.stability:
-        ws2 = Workspace(generate_corpus(args.seed, dim, 2 * max_degree), config)
     os.makedirs(args.out, exist_ok=True)
 
     def one(check):
-        return run_check(check, corpus, lp, sp, config, workspace=ws, doubled_workspace=ws2)
+        return run_check(check, corpus, lp, sp, workspace=ws)
 
     reports = parallel_map(one, checks, threads)
     counts = {"pass": 0, "fail": 0, "skipped": 0}

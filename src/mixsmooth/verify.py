@@ -241,13 +241,22 @@ def generate_corpus(seed: int, dim: int, max_degree: int, families=None) -> Corp
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Harness knobs; defaults match the frozen reference run."""
+    """Harness knobs; defaults match the frozen reference run.
+
+    Nothing in the package reads threads (the CLI's pool size is its own
+    --threads); the field stays because perfbench passes it.
+    """
 
     h_grid: int = 9
     stability: bool = True
     stability_factor: float = 2.0
     threads: int = 1
     windows: dict | None = None
+
+    def __post_init__(self):
+        # below two points per axis a step lattice holds only h = 0
+        if self.h_grid < 2:
+            raise InvalidParams(f"h_grid must be >= 2, got {self.h_grid}")
 
     def window_for(self, check: str, dim: int):
         if not self.windows:
@@ -372,32 +381,23 @@ _GRID_FLOOR = 16
 
 
 class Workspace:
-    """Caches per-function quantities of one corpus instance.
+    """One corpus, its config and every quantity a check reads of them.
 
-    Every cache key carries the defining parameters, among them the frozen
-    LorentzParams and SmoothParams objects themselves, so one workspace
-    serves every (p, tau, theta, b) combination of a run without
-    recomputation.
+    Cache keys carry the defining parameters (the frozen LorentzParams and
+    SmoothParams objects themselves), so one workspace serves every (p, tau,
+    theta, b) of a run.  A workspace has one config, so no key needs h_grid.
 
-    Per-row quantities live in row memos kept by _rows: difference norms
-    per (member, p, tau, k), by exact step vector h, where a member is a fid
-    or, for lemma1_subadd, a pair of fids standing for their sum; and cutoff
-    residual norms per (fid, p, tau), by exact cutoff vector l.  A member's
-    grid shape is fixed, so no key needs it.  A memo holds the rows it has
-    seen, as sorted byte keys, and their values, as two numpy arrays; a
-    request evaluates only its rows not yet in the memo, in one batch.
-    Every modulus quantity (mod_grid, modulus, the seminorm's grown tables,
-    the subadd maxima) reads its steps through step_norms, every cutoff sum
-    its residuals through y_values.  A row's norm does not depend on its
-    batch, so each quantity has the bits of its fresh build.
+    Row memos (_rows) hold difference norms per (member, p, tau, k) by exact
+    step vector h, a member being a fid or, for lemma1_subadd, a pair of fids
+    standing for their sum, and cutoff residual norms per (fid, p, tau) by
+    exact cutoff l.  A request evaluates only its rows not yet seen, in one
+    batch; a row's norm does not depend on its batch, so every quantity has
+    the bits of its fresh build.  The rows of the checks that read no theta
+    or b are cached under (check, p, tau, k), and doubled() is the
+    workspace of the stability probe.
 
-    The rows of the checks that read only (p, tau), k and h_grid (lemmas
-    1-5, rel_2_2_weight, lp_equivalence) are cached too, under (check, p,
-    tau, k, h_grid): only theorems 1-5 read theta and b, so a battery that
-    sweeps (theta, b) at one (p, tau) builds those rows once, not per sweep.
-
-    Threads may share a workspace: each cache key and each memo is built
-    under its own lock, so it is built once and never read half-built.
+    Threads may share a workspace: each key and memo is built once, under
+    its own lock.
     """
 
     def __init__(self, corpus: Corpus, config: VerifyConfig):
@@ -442,6 +442,14 @@ class Workspace:
             if key not in self._cache:
                 self._cache[key] = builder()
         return self._cache[key]
+
+    def doubled(self) -> Workspace:
+        """The workspace of this seed and dim at twice max_degree, same config."""
+        c = self.corpus
+        return self._get(
+            ("doubled",),
+            lambda: Workspace(generate_corpus(c.seed, c.dim, 2 * c.max_degree), self.config),
+        )
 
     def _rows(self, key, params, evaluate) -> np.ndarray:
         """evaluate at each row of the 2-D params, in order; each new row once.
@@ -504,7 +512,7 @@ class Workspace:
         return norms.tolist()
 
     def y_at(self, fid: str, lp: LorentzParams, cutoff: tuple) -> float:
-        """y_values at one cutoff."""
+        """y_values at one cutoff; unused in the package, kept for perfbench's tracer."""
         return self.y_values(fid, lp, [cutoff])[0]
 
     def kernel_residual(self, fid: str, lp: LorentzParams, l: tuple, k: tuple) -> float:
@@ -604,9 +612,9 @@ def _dyadic_levels(l_min: int, l_max: int) -> list[int]:
     return out
 
 
-def _check_lemma1_monotone(corpus, lp, k, cfg, ws: Workspace):
+def _check_lemma1_monotone(ws: Workspace, lp, k):
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         vals = ws.mod_grid(cf.fid, lp, k).values
         pairs = [
             (np.take(vals, range(1, n), axis=axis).ravel(),
@@ -630,18 +638,18 @@ def _check_lemma1_monotone(corpus, lp, k, cfg, ws: Workspace):
     return rows, {}
 
 
-def _check_lemma1_subadd(corpus, lp, k, cfg, ws: Workspace):
+def _check_lemma1_subadd(ws: Workspace, lp, k):
     # The inequality needs all three maxima taken over one common h-set, so
     # this check builds an explicit shared lattice instead of reusing the
     # degree-adapted lattices of mixed_modulus.
     rows = []
-    members = list(corpus)
+    members = list(ws.corpus)
     for i, cf in enumerate(members):
         cg = members[(i + 1) % len(members)]
         if cg.fid == cf.fid or cf.poly.dim != cg.poly.dim:
             continue
         for t in (0.75, 0.2):
-            h_list = _step_lattice((t,) * cf.poly.dim, cfg.h_grid)
+            h_list = _step_lattice((t,) * cf.poly.dim, ws.config.h_grid)
             lhs, rf, rg = (
                 float(np.max(ws.step_norms(member, lp, k, h_list)))
                 for member in ((cf.fid, cg.fid), cf.fid, cg.fid)
@@ -650,9 +658,9 @@ def _check_lemma1_subadd(corpus, lp, k, cfg, ws: Workspace):
     return rows, {}
 
 
-def _check_lemma1_deriv(corpus, lp, k, cfg, ws: Workspace):
+def _check_lemma1_deriv(ws: Workspace, lp, k):
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         dnorm = ws.deriv_norm(cf.fid, lp, k)
         for t in (0.5, 0.1, 0.02):
             tv = _diag(t, cf.poly.dim)
@@ -662,9 +670,9 @@ def _check_lemma1_deriv(corpus, lp, k, cfg, ws: Workspace):
     return rows, {}
 
 
-def _check_lemma2_bernstein(corpus, lp, k, cfg, ws: Workspace):
+def _check_lemma2_bernstein(ws: Workspace, lp, k):
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         n = ws.tight_degree(cf.fid)
         lhs = ws.deriv_norm(cf.fid, lp, k)
         rhs = math.prod((nj + 1.0) ** kj for nj, kj in zip(n, k)) * ws.norm(cf.fid, lp)
@@ -672,29 +680,29 @@ def _check_lemma2_bernstein(corpus, lp, k, cfg, ws: Workspace):
     return rows, {}
 
 
-def _cutoff_rows(corpus, lp, ws: Workspace, rhs):
+def _cutoff_rows(ws: Workspace, lp, rhs):
     # per member and dyadic cutoff l: its angle residual y_l over rhs(fid, l)
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         levels = [(l,) * cf.poly.dim for l in _dyadic_levels(1, max(ws.tight_degree(cf.fid)))]
         for l, lhs in zip(levels, ws.y_values(cf.fid, lp, levels)):
             rows.append(RatioRow(f"{cf.fid}@l={l[0]}", lhs, rhs(cf.fid, l)))
     return rows, {}
 
 
-def _check_lemma3_sandwich(corpus, lp, k, cfg, ws: Workspace):
-    return _cutoff_rows(corpus, lp, ws, lambda fid, l: ws.kernel_residual(fid, lp, l, k))
+def _check_lemma3_sandwich(ws: Workspace, lp, k):
+    return _cutoff_rows(ws, lp, lambda fid, l: ws.kernel_residual(fid, lp, l, k))
 
 
-def _check_lemma4_direct(corpus, lp, k, cfg, ws: Workspace):
+def _check_lemma4_direct(ws: Workspace, lp, k):
     return _cutoff_rows(
-        corpus, lp, ws, lambda fid, l: ws.modulus(fid, lp, k, tuple(1.0 / (v + 1.0) for v in l))
+        ws, lp, lambda fid, l: ws.modulus(fid, lp, k, tuple(1.0 / (v + 1.0) for v in l))
     )
 
 
-def _check_lemma5_inverse(corpus, lp, k, cfg, ws: Workspace):
+def _check_lemma5_inverse(ws: Workspace, lp, k):
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         dim = cf.poly.dim
         for n in (3, 7):
             if n > max(ws.tight_degree(cf.fid)):
@@ -718,7 +726,7 @@ def _log_weight_integral(nu: int, beta: float) -> float:
     return (u_hi ** (beta + 1.0) - u_lo ** (beta + 1.0)) / (beta + 1.0)
 
 
-def _check_rel_2_2_weight(corpus, lp, k, cfg, ws: Workspace):
+def _check_rel_2_2_weight(ws: Workspace, lp, k):
     rows = []
     for nu in range(1, 21):
         for tb in (-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0):
@@ -728,10 +736,10 @@ def _check_rel_2_2_weight(corpus, lp, k, cfg, ws: Workspace):
     return rows, {}
 
 
-def _check_thm1(corpus, lp, sp, cfg, ws: Workspace):
+def _check_thm1(ws: Workspace, lp, sp):
     rows = []
     semi_ratios = []
-    for cf in corpus:
+    for cf in ws.corpus:
         bold = ws.bold(cf.fid, lp, sp)
         rhs_sum = ws.thm1_rhs(cf.fid, lp, sp)
         rows.append(RatioRow(cf.fid, bold, ws.norm(cf.fid, lp) + rhs_sum))
@@ -743,18 +751,18 @@ def _check_thm1(corpus, lp, sp, cfg, ws: Workspace):
     return rows, aux
 
 
-def _check_thm2(corpus, lp, sp, cfg, ws: Workspace):
+def _check_thm2(ws: Workspace, lp, sp):
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         rows.append(RatioRow(cf.fid, ws.bold(cf.fid, lp, sp), ws.thm2_rhs(cf.fid, lp, sp)))
     return rows, {}
 
 
-def _check_thm3(corpus, lp, sp, cfg, ws: Workspace):
+def _check_thm3(ws: Workspace, lp, sp):
     # both displays carry the plain norm inside the brace; theorem3_norm
     # already includes it
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         bold = ws.bold(cf.fid, lp, sp)
         rows.append(RatioRow(f"{cf.fid}/lower", ws.thm3(cf.fid, lp, sp, "lower"), bold))
         rows.append(RatioRow(f"{cf.fid}/upper", bold, ws.thm3(cf.fid, lp, sp, "upper")))
@@ -768,32 +776,32 @@ def _thm4_exponents(lp, sp) -> EmbeddingExponents:
     return ee
 
 
-def _check_thm4_lower(corpus, lp, sp, cfg, ws: Workspace):
+def _check_thm4_lower(ws: Workspace, lp, sp):
     ee = _thm4_exponents(lp, sp)
     sp_u = SmoothParams(sp.theta, ee.u, sp.k)
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         rows.append(RatioRow(cf.fid, ws.seq_norm(cf.fid, lp, sp_u), ws.bold(cf.fid, lp, sp)))
     return rows, {"u": list(ee.u), "gamma": ee.gamma}
 
 
-def _check_thm4_upper(corpus, lp, sp, cfg, ws: Workspace):
+def _check_thm4_upper(ws: Workspace, lp, sp):
     ee = _thm4_exponents(lp, sp)
     sp_v = SmoothParams(sp.theta, ee.v, sp.k)
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         rows.append(RatioRow(cf.fid, ws.bold(cf.fid, lp, sp), ws.seq_norm(cf.fid, lp, sp_v)))
     return rows, {"v": list(ee.v), "beta": ee.beta}
 
 
-def _check_thm5_1(corpus, lp, sp, cfg, ws: Workspace):
+def _check_thm5_1(ws: Workspace, lp, sp):
     tau2 = 1.0 + (lp.tau - 1.0) / 2.0
     if not tau2 < lp.tau:
         raise UncoveredParams(f"tau = {lp.tau} leaves no room for tau2 < tau")
     lp2 = LorentzParams(lp.p, tau2)
     sp2 = SmoothParams(sp.theta, tuple(bj + 0.5 for bj in sp.b), sp.k)
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         rows.append(
             RatioRow(cf.fid, ws.seq_norm(cf.fid, lp, sp), ws.seq_norm(cf.fid, lp2, sp2))
         )
@@ -827,7 +835,7 @@ def _thm5_23_params(lp, sp):
     return LorentzParams(lp.p, tau2), theta1, theta2, b2
 
 
-def _check_thm5_23(corpus, lp, sp, cfg, ws: Workspace):
+def _check_thm5_23(ws: Workspace, lp, sp):
     lp2, theta1, theta2, b2 = _thm5_23_params(lp, sp)
     sp1 = SmoothParams(theta1, sp.b, sp.k)
     sp2 = SmoothParams(theta2, b2, sp.k)
@@ -840,7 +848,7 @@ def _check_thm5_23(corpus, lp, sp, cfg, ws: Workspace):
     }
     if not cond_seq.converges:
         raise UncoveredParams("sequence-form comparison sum diverges; embedding not claimed")
-    for cf in corpus:
+    for cf in ws.corpus:
         rows.append(
             RatioRow(
                 f"{cf.fid}/seq", ws.seq_norm(cf.fid, lp2, sp2), ws.seq_norm(cf.fid, lp, sp1)
@@ -854,16 +862,16 @@ def _check_thm5_23(corpus, lp, sp, cfg, ws: Workspace):
     # the dyadic exponent is the power-form one plus 1 and _thm5_23_params
     # keeps the latter at -1.4, so the dyadic sum converges whenever the
     # sequence sum does
-    for cf in corpus:
+    for cf in ws.corpus:
         rows.append(
             RatioRow(f"{cf.fid}/bold", ws.bold(cf.fid, lp2, sp2), ws.bold(cf.fid, lp, sp1))
         )
     return rows, aux
 
 
-def _check_lp_equivalence(corpus, lp, k, cfg, ws: Workspace):
+def _check_lp_equivalence(ws: Workspace, lp, k):
     rows = []
-    for cf in corpus:
+    for cf in ws.corpus:
         sig = ws.tails(cf.fid, lp)
         rows.append(RatioRow(cf.fid, float(sig[(0,) * cf.poly.dim]), ws.norm(cf.fid, lp)))
     return rows, {}
@@ -872,8 +880,9 @@ def _check_lp_equivalence(corpus, lp, k, cfg, ws: Workspace):
 # name -> (body, corpus_based, sided, by_k); "upper" checks assert lhs <= C * rhs
 # (their ratio minimum may legitimately sink toward zero as degrees grow, so
 # the doubling probe tracks max growth), "both" checks assert an equivalence
-# window (the probe tracks max/min spread growth).  A by_k body is called with
-# sp.k for sp: it reads only (p, tau), k and h_grid, so run_check memoizes it.
+# window (the probe tracks max/min spread growth).  A body is called as
+# body(ws, lp, sp), a by_k body with sp.k for sp: it reads no theta or b, so
+# run_check memoizes it per Workspace.
 _CHECK_BODIES = {
     "lemma1_monotone": (_check_lemma1_monotone, True, "upper", True),
     "lemma1_subadd": (_check_lemma1_subadd, True, "upper", True),
@@ -929,42 +938,35 @@ def run_check(
     sp: SmoothParams,
     config: VerifyConfig | None = None,
     workspace: Workspace | None = None,
-    doubled_workspace: Workspace | None = None,
 ) -> RatioReport:
     """Run one registered check over the corpus and assemble its report.
 
-    The stability probe reruns the same check on a corpus regenerated at twice
-    max_degree (same seed and families) and compares the ratio spread; growth
-    at or beyond the configured factor fails the verdict.  Checks whose
-    hypotheses exclude the given parameters report verdict "skipped".  A
-    workspace must hold this corpus object, and a doubled_workspace the
-    corpus of the same seed and dim at twice max_degree (InvalidParams).
+    The corpus and config are read from workspace, which must hold this
+    corpus object and config None or its own (InvalidParams); without one, a
+    Workspace of (corpus, config) is built.  The stability probe reruns the
+    check on workspace.doubled() and fails the verdict if the ratio spread
+    grows by the configured factor.  Checks whose hypotheses exclude the
+    given parameters report verdict "skipped".
     """
     body, corpus_based, sided, by_k = _registered(check)
-    config = config or VerifyConfig()
     if lp.tau <= 1.0:
         raise InvalidParams("the verification harness requires 1 < tau < inf")
-    if config.h_grid < 2:
-        raise InvalidParams(f"h_grid must be >= 2, got {config.h_grid}")
     validate_params(lp, sp, corpus.dim)
-    if workspace is not None and workspace.corpus is not corpus:
-        raise InvalidParams("workspace was built for another corpus")
-    doubled = (corpus.seed, corpus.dim, 2 * corpus.max_degree)
-    c2 = doubled_workspace.corpus if doubled_workspace is not None else None
-    if c2 is not None and (c2.seed, c2.dim, c2.max_degree) != doubled:
-        raise InvalidParams(f"doubled_workspace needs (seed, dim, max_degree) = {doubled}")
-    ws = workspace if workspace is not None else Workspace(corpus, config)
+    ws = workspace
+    if ws is None:
+        ws = Workspace(corpus, config or VerifyConfig())
+    elif ws.corpus is not corpus or config not in (None, ws.config):
+        raise InvalidParams("workspace was built for another corpus or config")
 
     def measure(w: Workspace):
         # rows, aux and row stats on w's corpus; a by_k body's are cached per key
         def build():
-            rows, aux = body(w.corpus, lp, sp.k if by_k else sp, config, w)
+            rows, aux = body(w, lp, sp.k if by_k else sp)
             return (tuple(rows), aux, *_row_stats(rows))
 
         if not by_k:
             return build()
-        key = ("check", check, lp, sp.k, config.h_grid)
-        rows, aux, stats, zero_zero, failures = w._get(key, build)
+        rows, aux, stats, zero_zero, failures = w._get(("check", check, lp, sp.k), build)
         return rows, dict(aux), stats and dict(stats), zero_zero, failures  # a copy per report
 
     common = {
@@ -974,7 +976,7 @@ def run_check(
         "seed": corpus.seed,
         "params": _params_dict(lp, sp),
     }
-    window = config.window_for(check, corpus.dim)
+    window = ws.config.window_for(check, corpus.dim)
     try:
         rows, aux, stats, zero_zero, failures = measure(ws)
     except UncoveredParams as exc:
@@ -991,8 +993,8 @@ def run_check(
         )
     stability = growth = None
     notes = []
-    if corpus_based and config.stability:
-        ws2 = doubled_workspace or Workspace(generate_corpus(*doubled), config)
+    if corpus_based and ws.config.stability:
+        ws2 = ws.doubled()
         _, _, stats2, zz2, fail2 = measure(ws2)
         if sided == "upper":
             if stats and stats2:
@@ -1026,7 +1028,7 @@ def run_check(
             notes.append(
                 f"ratios [{stats['min']:.6g}, {stats['max']:.6g}] escape window {list(window)}"
             )
-    if verdict != "skipped" and growth is not None and growth >= config.stability_factor:
+    if verdict != "skipped" and growth is not None and growth >= ws.config.stability_factor:
         verdict = "fail"
         notes.append(f"ratio spread grew {growth:.3f}x under degree doubling")
     return RatioReport(

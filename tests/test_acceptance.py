@@ -81,21 +81,11 @@ def ws1(corpus1, cfg):
 
 
 @pytest.fixture(scope="module")
-def ws1_doubled(cfg):
-    return Workspace(generate_corpus(seed=7, dim=1, max_degree=32), cfg)
-
-
-@pytest.fixture(scope="module")
 def ws2(corpus2, cfg):
     return Workspace(corpus2, cfg)
 
 
-@pytest.fixture(scope="module")
-def ws2_doubled(cfg):
-    return Workspace(generate_corpus(seed=7, dim=2, max_degree=16), cfg)
-
-
-def _battery(check_names, corpus, cfg, ws, wsd, lps=BATTERY_LP, sps=BATTERY_SP):
+def _battery(check_names, corpus, cfg, ws, lps=BATTERY_LP, sps=BATTERY_SP):
     """Run checks over the parameter battery; return failures and skips."""
     failures = []
     skips = []
@@ -104,7 +94,7 @@ def _battery(check_names, corpus, cfg, ws, wsd, lps=BATTERY_LP, sps=BATTERY_SP):
         for theta, b in sps:
             sp = sp_for(corpus.dim, theta, b)
             for name in check_names:
-                rep = run_check(name, corpus, lp, sp, config=cfg, workspace=ws, doubled_workspace=wsd)
+                rep = run_check(name, corpus, lp, sp, config=cfg, workspace=ws)
                 tag = f"{name} dim={corpus.dim} p={p} tau={tau} theta={theta} b={b}"
                 if rep.verdict == "fail":
                     failures.append(f"{tag}: {rep.notes}")
@@ -193,13 +183,13 @@ LEMMA_CHECKS = (
 )
 
 
-def test_criterion_4_lemma_suite(corpus1, corpus2, cfg, ws1, ws1_doubled, ws2, ws2_doubled):
+def test_criterion_4_lemma_suite(corpus1, corpus2, cfg, ws1, ws2):
     lp = LorentzParams(3.0, 1.5)
     failures = []
-    for corpus, ws, wsd in ((corpus1, ws1, ws1_doubled), (corpus2, ws2, ws2_doubled)):
+    for corpus, ws in ((corpus1, ws1), (corpus2, ws2)):
         sp = sp_for(corpus.dim, 1.0, 0.0)
         for name in LEMMA_CHECKS:
-            rep = run_check(name, corpus, lp, sp, config=cfg, workspace=ws, doubled_workspace=wsd)
+            rep = run_check(name, corpus, lp, sp, config=cfg, workspace=ws)
             if rep.verdict != "pass":
                 failures.append(f"{name} dim={corpus.dim}: {rep.verdict} ({rep.notes})")
     _report(4, not failures,
@@ -209,10 +199,10 @@ def test_criterion_4_lemma_suite(corpus1, corpus2, cfg, ws1, ws1_doubled, ws2, w
 # --- criterion 5: theorem 1/2/3 battery inside frozen windows -------------------
 
 
-def test_criterion_5_equivalence_battery(corpus1, corpus2, cfg, ws1, ws1_doubled, ws2, ws2_doubled):
+def test_criterion_5_equivalence_battery(corpus1, corpus2, cfg, ws1, ws2):
     checks = ("thm1", "thm2", "thm3")
-    f1, s1 = _battery(checks, corpus1, cfg, ws1, ws1_doubled)
-    f2, s2 = _battery(checks, corpus2, cfg, ws2, ws2_doubled)
+    f1, s1 = _battery(checks, corpus1, cfg, ws1)
+    f2, s2 = _battery(checks, corpus2, cfg, ws2)
     failures = f1 + f2
     combos = len(BATTERY_LP) * len(BATTERY_SP) * len(checks) * 2
     _report(5, not failures and not (s1 + s2),
@@ -223,10 +213,10 @@ def test_criterion_5_equivalence_battery(corpus1, corpus2, cfg, ws1, ws1_doubled
 # --- criterion 6: theorem 4 embeddings where proven, skipped elsewhere --------
 
 
-def test_criterion_6_embeddings(corpus1, corpus2, cfg, ws1, ws1_doubled, ws2, ws2_doubled):
+def test_criterion_6_embeddings(corpus1, corpus2, cfg, ws1, ws2):
     checks = ("thm4_lower", "thm4_upper")
-    f1, s1 = _battery(checks, corpus1, cfg, ws1, ws1_doubled)
-    f2, s2 = _battery(checks, corpus2, cfg, ws2, ws2_doubled)
+    f1, s1 = _battery(checks, corpus1, cfg, ws1)
+    f2, s2 = _battery(checks, corpus2, cfg, ws2)
     failures = f1 + f2 + s1 + s2  # every battery pair is in the proven table
     # an uncovered pair must come back skipped, not guessed
     rep = run_check("thm4_lower", corpus1, LorentzParams(2.0, 3.0), sp_for(1, 1.0, 0.0), config=cfg)
@@ -240,13 +230,13 @@ def test_criterion_6_embeddings(corpus1, corpus2, cfg, ws1, ws1_doubled, ws2, ws
 # --- criterion 7: theorem 5 orderings ------------------------------------------
 
 
-def test_criterion_7_tau_theta_orderings(corpus1, corpus2, cfg, ws1, ws1_doubled, ws2, ws2_doubled):
+def test_criterion_7_tau_theta_orderings(corpus1, corpus2, cfg, ws1, ws2):
     failures = []
     gated = 0
-    for corpus, ws, wsd in ((corpus1, ws1, ws1_doubled), (corpus2, ws2, ws2_doubled)):
-        f_1, s_1 = _battery(("thm5_1",), corpus, cfg, ws, wsd)
+    for corpus, ws in ((corpus1, ws1), (corpus2, ws2)):
+        f_1, s_1 = _battery(("thm5_1",), corpus, cfg, ws)
         failures += f_1 + s_1  # monotonicity has no gate: must run and hold
-        f_23, s_23 = _battery(("thm5_23",), corpus, cfg, ws, wsd)
+        f_23, s_23 = _battery(("thm5_23",), corpus, cfg, ws)
         failures += f_23
         gated += len(s_23)  # certificate may refuse; refusal is not failure
     _report(7, not failures,

@@ -145,12 +145,12 @@ def test_unknown_check_raises(small_corpus):
 
 
 @pytest.mark.parametrize("h_grid", [0, 1])
-def test_h_grid_below_two_raises(small_corpus, h_grid):
+def test_h_grid_below_two_raises(h_grid):
     # below two points per axis the step lattice holds at most h = 0, where
-    # every difference vanishes, so a pass would say nothing
-    cfg = VerifyConfig(h_grid=h_grid, stability=False)
+    # every difference vanishes, so a pass would say nothing; the config
+    # refuses it before any Workspace reads it
     with pytest.raises(InvalidParams, match=f"h_grid must be >= 2, got {h_grid}"):
-        run_check("lemma1_deriv", small_corpus, LP, SP, config=cfg)
+        VerifyConfig(h_grid=h_grid, stability=False)
 
 
 def test_equal_parameter_objects_share_workspace_entries(small_corpus):
@@ -346,22 +346,21 @@ def test_theta_b_free_checks_run_once_per_workspace(small_corpus, monkeypatch, t
     lock = threading.Lock()
     for name, (body, *rest) in list(mixsmooth.verify._CHECK_BODIES.items()):
 
-        def counting(corpus, lp, sp_or_k, cfg, ws, name=name, body=body):
+        def counting(ws, lp, sp_or_k, name=name, body=body):
             with lock:
                 calls[(name, ws.corpus.max_degree)] += 1
-            return body(corpus, lp, sp_or_k, cfg, ws)
+            return body(ws, lp, sp_or_k)
 
         monkeypatch.setitem(mixsmooth.verify._CHECK_BODIES, name, (counting, *rest))
     cfg = VerifyConfig(stability=True)
     ws = Workspace(small_corpus, cfg)
-    wsd = Workspace(generate_corpus(seed=7, dim=1, max_degree=16), cfg)
     lp = LorentzParams(3.0, 1.5)
     items = [(check, SmoothParams(theta, b)) for theta, b in BATTERY_SP for check in CHECK_NAMES]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6 if threads > 1 else interval)
     try:
         parallel_map(
-            lambda item: run_check(item[0], small_corpus, lp, item[1], cfg, ws, wsd),
+            lambda item: run_check(item[0], small_corpus, lp, item[1], cfg, ws),
             sorted(items, key=lambda item: item[0]),
             threads,
         )
@@ -384,17 +383,40 @@ def test_run_check_rejects_a_workspace_of_another_corpus(small_corpus):
         run_check("lemma2_bernstein", small_corpus, LP, SP, cfg, workspace=other)
 
 
-@pytest.mark.parametrize("seed, dim, degree", [(7, 1, 8), (8, 1, 16), (7, 2, 16), (7, 1, 32)])
-def test_run_check_rejects_a_doubled_workspace_not_at_twice_the_degree(
-    small_corpus, seed, dim, degree
-):
+@pytest.mark.parametrize("check", ["lemma1_deriv", "lemma1_subadd"])
+def test_run_check_rejects_a_config_other_than_the_workspace_one(small_corpus, check):
+    # with config at h_grid 3 and a Workspace at 9, lemma1_deriv's moduli
+    # would come from h_grid 9 and lemma1_subadd's lattice from h_grid 3
+    ws = Workspace(small_corpus, VerifyConfig(h_grid=9, stability=False))
+    with pytest.raises(InvalidParams, match="another corpus or config"):
+        run_check(check, small_corpus, LP, SP, VerifyConfig(h_grid=3, stability=False), ws)
+    # an equal config, or none, is the Workspace's own
+    for cfg in (VerifyConfig(h_grid=9, stability=False), None):
+        assert run_check(check, small_corpus, LP, SP, cfg, ws).verdict == "pass"
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_doubled_workspace_is_the_corpus_at_twice_the_degree(small_corpus, threads):
+    # the stability probe's Workspace: same seed and dim, twice max_degree,
+    # the same config object, and built once also when threads race for it
     cfg = VerifyConfig(stability=True)
-    wrong = Workspace(generate_corpus(seed=seed, dim=dim, max_degree=degree), cfg)
-    with pytest.raises(InvalidParams, match="doubled_workspace"):
-        run_check("lemma2_bernstein", small_corpus, LP, SP, cfg, doubled_workspace=wrong)
-    right = Workspace(generate_corpus(seed=7, dim=1, max_degree=16), cfg)
-    rep = run_check("lemma2_bernstein", small_corpus, LP, SP, cfg, doubled_workspace=right)
+    ws = Workspace(small_corpus, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if threads > 1 else interval)
+    try:
+        got = parallel_map(lambda _: ws.doubled(), range(8), threads)
+    finally:
+        sys.setswitchinterval(interval)
+    wsd = ws.doubled()
+    assert all(w is wsd for w in got)
+    assert (wsd.corpus.seed, wsd.corpus.dim, wsd.corpus.max_degree) == (7, 1, 16)
+    assert wsd.config is cfg
+    assert [cf.fid for cf in wsd.corpus] == [
+        cf.fid for cf in generate_corpus(seed=7, dim=1, max_degree=16)
+    ]
+    rep = run_check("lemma2_bernstein", small_corpus, LP, SP, workspace=ws)
     assert rep.stability["max_degree"] == 16
+    assert ("check", "lemma2_bernstein", LP, SP.k) in wsd._cache
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -544,13 +566,14 @@ def test_lemma1_monotone_witness_is_tie_stable():
     shape = grid.values.shape
 
     class OneGrid:
+        corpus = [cf]
         values = grid.values
 
         def mod_grid(self, fid, lp, k):
             return dataclasses.replace(grid, values=self.values)
 
     ws = OneGrid()
-    (want,), _ = _check_lemma1_monotone([cf], lp, sp.k, cfg, ws)
+    (want,), _ = _check_lemma1_monotone(ws, lp, sp.k)
 
     # flat entry indices of every (finer, coarser) cell in scan order
     idx = np.arange(grid.values.size).reshape(shape)
@@ -576,7 +599,7 @@ def test_lemma1_monotone_witness_is_tie_stable():
             vals = grid.values.copy().ravel()
             vals[entry] = np.nextafter(vals[entry], toward)
             ws.values = vals.reshape(shape)
-            (got,), _ = _check_lemma1_monotone([cf], lp, sp.k, cfg, ws)
+            (got,), _ = _check_lemma1_monotone(ws, lp, sp.k)
             assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
             moved += int(np.argmax(ratios(ws.values))) != int(np.argmax(r))
     assert moved > 0
