@@ -52,21 +52,16 @@ row with unit factors.  The reductions, by (p, tau):
   row's norm is the square root of the sum of |f.coeffs|^2 times the
   product of its factors' |.|^2, formed in chunks of the coefficient box; a
   tensor row's is the square root of the product of its per-axis
-  coefficient energies (_energy_norms).
+  coefficient energies (_energies).
 
-Two inputs keep the sort at tau = p.  An array of samples is reduced by
-batch_norms, which matches lorentz_norm_sorted bit for bit at every (p, tau)
-(test_batch_norms_equal_sorted_reference_bitwise); the mean would round
-differently.  The dense tails of spectral.tail_square_norms are square
-functions, not polynomials, so Parseval does not give their norms.  They
-are streamed: the blocks arrive from _sample_chunks one first-axis slab at
-a time, and each slab, once complete, is reduced as batch_norms would, so
-the tails equal a reversed-cumsum oracle on the whole lattice bit for bit
-(test_tail_square_norms_equal_reversed_cumsum_oracle) while at most two
-slabs, prod_{j >= 2} smax_j rows of prod N float64, and one chunk are
-held.  Every row sum is numpy's pairwise sum of that row alone, never a
-BLAS dot, so on every path a norm has the same bits alone as in any batch,
-chunking or BLAS thread count.
+The dense tails of spectral.tail_square_norms reduce the same way: sorted
+at tau != p, an L_p mean at tau = p != 2, and at p = tau = 2 read off the
+block energies.  Only an array of samples keeps the sort at tau = p: it is
+reduced by batch_norms, which matches lorentz_norm_sorted bit for bit at
+every (p, tau) (test_batch_norms_equal_sorted_reference_bitwise); the mean
+would round differently.  Every row sum is numpy's pairwise sum of that row
+alone, never a BLAS dot, so on every path a norm has the same bits alone as
+in any batch, chunking or BLAS thread count.
 lorentz_norm_sorted is the closed form above on pre-sorted rows, kept as the
 reference the tests compare with.
 """
@@ -98,8 +93,8 @@ __all__ = [
 # A per-axis chunk takes the same number of rows, as one float64 outer product.
 # At p = tau = 2 a chunk is rows x coefficient-box points x 16 B instead: the
 # float64 products of |f.coeffs|^2 with the rows' |factors|^2 fill half of it.
-# The dense tails of spectral.tail_square_norms hold one chunk on top of their
-# two slabs of prod_{j >= 2} smax_j rows x prod N float64.
+# The sampled dense tails of spectral.tail_square_norms hold one chunk on top
+# of their two slabs of prod_{j >= 2} smax_j rows x prod N float64.
 _CHUNK_BYTES = 4_000_000
 
 
@@ -174,23 +169,24 @@ def _mean_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
 
     (sum |x|^p / M)^(1/p), the pairwise sum of each row alone: at tau = p
     the step weights telescope to 1/M, so the order of the samples does not
-    matter and nothing is negated or sorted.
+    matter and nothing is negated or sorted.  values is overwritten.
     """
-    return (np.add.reduce(np.power(values, lp.p), axis=-1) / values.shape[-1]) ** (1.0 / lp.p)
+    np.power(values, lp.p, out=values)
+    return (np.add.reduce(values, axis=-1) / values.shape[-1]) ** (1.0 / lp.p)
 
 
-def _energy_norms(f: TrigPoly, stacks) -> np.ndarray:
-    """L_2 norms of the rows f.coeffs * axis_product(stacks)[b], shape (B,).
+def _energies(f: TrigPoly, stacks) -> np.ndarray:
+    """Squared L_2 norms of the rows f.coeffs * axis_product(stacks)[b], shape (B,).
 
     On a grid with N_j >= 2 n_j + 1 the mean of |f|^2 over the samples is
-    the sum of |a_k|^2 (discrete Parseval), so at p = tau = 2 nothing is
-    sampled: row b's norm is the square root of the pairwise sum of
-    |f.coeffs|^2 * axis_product(|stacks[j][b]|^2), formed in chunks of
-    _chunk_rows rows of the coefficient box.  When f.factors is set the
-    energy of a tensor product is the product of the per-axis energies, so
-    each axis is one pairwise sum of |f.factors[j]|^2 * |stacks[j][b]|^2.
-    Either way each row is summed alone, so its bits do not depend on the
-    batch, the chunking or the BLAS thread count.
+    the sum of |a_k|^2 (discrete Parseval), so nothing is sampled: row b's
+    energy is the pairwise sum of |f.coeffs|^2 * axis_product(|stacks[j][b]|^2),
+    formed in chunks of _chunk_rows rows of the coefficient box.  When
+    f.factors is set the energy of a tensor product is the product of the
+    per-axis energies, so each axis is one pairwise sum of
+    |f.factors[j]|^2 * |stacks[j][b]|^2.  Either way each row is summed
+    alone, so its bits do not depend on the batch, the chunking or the BLAS
+    thread count.
     """
     squares = [np.square(np.abs(s), dtype=np.float64) for s in stacks]
     if f.factors is not None:
@@ -198,7 +194,7 @@ def _energy_norms(f: TrigPoly, stacks) -> np.ndarray:
             np.add.reduce(np.square(np.abs(fac)) * sq, axis=-1)
             for fac, sq in zip(f.factors, squares)
         ]
-        return np.sqrt(np.prod(energies, axis=0))
+        return np.prod(energies, axis=0)
     weights = np.square(np.abs(f.coeffs))
     count = len(squares[0])
     chunk = _chunk_rows(f.coeffs.shape)
@@ -206,7 +202,7 @@ def _energy_norms(f: TrigPoly, stacks) -> np.ndarray:
     for start in range(0, count, chunk):
         terms = weights * axis_product([sq[start : start + chunk] for sq in squares])
         energy[start : start + chunk] = np.add.reduce(terms.reshape(len(terms), -1), axis=-1)
-    return np.sqrt(energy)
+    return energy
 
 
 def _chunk_rows(shape) -> int:
@@ -297,7 +293,7 @@ def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.
     (B, 2 n_j + 1) row stack.  Row b is f.coeffs * axis_product(factors)[b],
     taken as samples on `shape` (core._grid).  The path and the reduction
     are picked here, by the rules of the module docstring: at p = tau = 2
-    the norms are read off the coefficients (_energy_norms); otherwise a
+    the norms are read off the coefficients (_energies); otherwise a
     product of one-axis polynomials is sampled one axis at a time
     (_tensor_norms), and any other f on `shape` in chunks, each reduced as
     soon as it is sampled (_mean_norms at tau = p, else batch_norms).
@@ -307,7 +303,7 @@ def multiplier_norms(f: TrigPoly, factors, lp: LorentzParams, shape=None) -> np.
     (count,) = np.broadcast_shapes(*(fac.shape[:-1] for fac in factors))
     stacks = [np.broadcast_to(fac, (count, fac.shape[-1])) for fac in factors]
     if lp.p == lp.tau == 2.0:
-        return _energy_norms(f, stacks)
+        return np.sqrt(_energies(f, stacks))
     if f.factors is not None:
         axis_rows = [fac * stack for fac, stack in zip(f.factors, stacks)]
         return _tensor_norms(f.degree, axis_rows, lp, shape)

@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import InvalidParams, LorentzParams, TrigPoly, _grid, axis_product
-from .lorentz import _axis_powers, _outer_norms, _reduce_powered, _sample_chunks, multiplier_norms
+from .lorentz import (
+    _axis_powers,
+    _energies,
+    _mean_norms,
+    _outer_norms,
+    _reduce_powered,
+    _sample_chunks,
+    multiplier_norms,
+)
 
 __all__ = [
     "BlockIndex",
@@ -225,18 +233,26 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
 
         || ( sum_{s_j >= nu_j for all j} |delta_s(f)(x)|^2 )^(1/2) ||_{p,tau}
 
-    for nu_j in 1..smax_j.  Every nonzero block is evaluated once, in the
-    chunks of lorentz._sample_chunks, in reverse lexicographic order, so the
-    blocks arrive one first-axis slab at a time from s_1 = smax_1 down.
-    Their squares are added to one running suffix sum over that axis; once a
-    slab is complete, a copy of the sum takes its suffix sums over the other
-    axes and is square-rooted and reduced as batch_norms would.  Every
-    element gets the additions of a reversed cumsum on every axis, in the
-    same order, and each row is reduced alone, so the tails have the bits of
-    the whole lattice of squares while two slabs (prod_{j >= 2} smax_j rows
-    of prod N float64) and one chunk are held: bounded, but not small at
-    m = 3, where a dense deg-32 input holds about 1.2 GB (the lattice and
-    its reduction copy took 7.2 GB).
+    for nu_j in 1..smax_j.  A dense f (no factors) is reduced by (p, tau):
+
+    - p = tau = 2: the blocks are disjoint in frequency, so by discrete
+      Parseval the tail at nu is the square root of the sum of the energies
+      of the blocks s >= nu.  Each nonzero block's coefficient energy
+      (lorentz._energies) is placed on the smax lattice and summed as a
+      reversed cumsum on every axis; nothing is sampled.
+    - Otherwise every nonzero block is sampled once, in the chunks of
+      lorentz._sample_chunks, in reverse lexicographic order, so the blocks
+      arrive one first-axis slab at a time from s_1 = smax_1 down.  Their
+      squares are added to one running suffix sum over that axis; once a
+      slab is complete, a copy of the sum takes its suffix sums over the
+      other axes and is square-rooted and reduced: at tau = p by the plain
+      L_p mean, with no sort (lorentz._mean_norms), and at tau != p sorted,
+      as batch_norms would.  Every element gets the additions of a reversed
+      cumsum on every axis, in the same order, and each row is reduced
+      alone, so the tails have the bits of the whole lattice of squares
+      reduced the same way, while two slabs (prod_{j >= 2} smax_j rows of
+      prod N float64) and one chunk are held: bounded, but not small at
+      m = 3, where a dense deg-32 input holds about 1.2 GB.
 
     When f.factors is set (f = f_1 x ... x f_m), the blocks factor too, and
 
@@ -244,7 +260,7 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
         T_j(nu_j) = sum_{s_j >= nu_j} |delta_{s_j}(f_j)|^2,
 
     so m one-axis suffix tables replace the lattice of squares (_tensor_tails)
-    and the values agree with the slab path to a few ulps.  shape may be a
+    and the values agree with the dense paths to a few ulps.  shape may be a
     scalar or one N_j per axis; a grid with N_j < 2 n_j + 1 raises
     GridTooCoarse on both paths.
     """
@@ -255,6 +271,11 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
     if f.factors is not None:
         return _tensor_tails(f, smax, lp, shape)
     pos, masks = _nonzero_rows(f, _block_tables(f))
+    if lp.p == lp.tau == 2.0:
+        energy = np.zeros(smax)
+        energy[tuple(pos.T)] = _energies(f, masks)
+        _suffix_sums(energy, range(f.dim))
+        return np.sqrt(energy)
     width = math.prod(smax[1:])
     # reverse lexicographic order, so slab s_1 = smax_1 arrives first; empty
     # blocks sample to exact zeros, so only nonzero ones are evaluated
@@ -266,7 +287,6 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
     )
     running = np.zeros((width, math.prod(shape)))
     tail = np.empty_like(running)
-    shaped = tail.reshape(smax[1:] + (-1,))
     norms = np.empty((smax[0], width))
     k = 0
     for i in range(smax[0] - 1, -1, -1):
@@ -274,15 +294,27 @@ def tail_square_norms(f: TrigPoly, lp: LorentzParams, shape=None) -> np.ndarray:
             running[offset[k]] += next(squares)
             k += 1
         np.copyto(tail, running)
-        # suffix sums in place over the other axes: the additions of a
-        # reversed cumsum, with the operands swapped (IEEE addition commutes)
-        for axis in range(len(smax) - 1):
-            view = np.moveaxis(shaped, axis, 0)
-            for j in range(view.shape[0] - 2, -1, -1):
-                view[j] += view[j + 1]
-        # batch_norms' abs is the identity on square roots, so it is skipped
-        norms[i] = _reduce_powered(np.power(np.sqrt(tail, out=tail), lp.tau, out=tail), lp)
+        _suffix_sums(tail.reshape(smax[1:] + (-1,)), range(f.dim - 1))
+        np.sqrt(tail, out=tail)
+        if lp.tau == lp.p:
+            norms[i] = _mean_norms(tail, lp)
+        else:
+            # batch_norms' abs is the identity on square roots, so it is skipped
+            norms[i] = _reduce_powered(np.power(tail, lp.tau, out=tail), lp)
     return norms.reshape(smax)
+
+
+def _suffix_sums(arr: np.ndarray, axes) -> None:
+    """Suffix sums of arr in place over each of `axes`, in turn.
+
+    These are the additions of a reversed cumsum on each axis, in the same
+    order, with the operands swapped (IEEE addition commutes), so arr ends
+    with the bits of np.flip(np.cumsum(np.flip(arr, axis), axis), axis).
+    """
+    for axis in axes:
+        view = np.moveaxis(arr, axis, 0)
+        for j in range(view.shape[0] - 2, -1, -1):
+            view[j] += view[j + 1]
 
 
 def _tensor_tails(f: TrigPoly, smax, lp: LorentzParams, shape) -> np.ndarray:
@@ -295,9 +327,7 @@ def _tensor_tails(f: TrigPoly, smax, lp: LorentzParams, shape) -> np.ndarray:
     tables = []
     for fac, masks, n, N in zip(f.factors, _block_tables(f), f.degree, shape):
         sums = _axis_powers(n, fac * masks, N, 2.0)
-        # suffix sums in place, as in the slab path
-        for i in range(len(sums) - 2, -1, -1):
-            sums[i] += sums[i + 1]
+        _suffix_sums(sums, (0,))
         tables.append(np.power(sums, lp.tau / 2.0, out=sums))
     pos = np.indices(smax).reshape(f.dim, -1)
     return _outer_norms([t[p] for t, p in zip(tables, pos)], lp).reshape(smax)

@@ -121,6 +121,7 @@ class Corpus:
     dim: int
     max_degree: int
     functions: tuple[CorpusFunction, ...]
+    families: tuple[str, ...]
 
     def __iter__(self):
         return iter(self.functions)
@@ -232,7 +233,13 @@ def generate_corpus(seed: int, dim: int, max_degree: int, families=None) -> Corp
             add(family, tensor(c, *([a] * (dim - 1))))
         else:
             raise InvalidParams(f"unknown corpus family {family!r}")
-    return Corpus(seed=int(seed), dim=int(dim), max_degree=int(max_degree), functions=tuple(functions))
+    return Corpus(
+        seed=int(seed),
+        dim=int(dim),
+        max_degree=int(max_degree),
+        functions=tuple(functions),
+        families=tuple(families),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +451,13 @@ class Workspace:
         return self._cache[key]
 
     def doubled(self) -> Workspace:
-        """The workspace of this seed and dim at twice max_degree, same config."""
+        """The workspace of this seed, dim and families at twice max_degree, same config."""
         c = self.corpus
         return self._get(
             ("doubled",),
-            lambda: Workspace(generate_corpus(c.seed, c.dim, 2 * c.max_degree), self.config),
+            lambda: Workspace(
+                generate_corpus(c.seed, c.dim, 2 * c.max_degree, c.families), self.config
+            ),
         )
 
     def _rows(self, key, params, evaluate) -> np.ndarray:

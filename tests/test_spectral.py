@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsmooth import lorentz
+from mixsmooth import lorentz, spectral
 from mixsmooth.core import (
     GridTooCoarse,
     InvalidParams,
@@ -44,6 +44,7 @@ from test_lorentz import (
 )
 
 L2 = LorentzParams(2.0, 2.0)
+P3 = LorentzParams(3.0, 3.0)
 
 
 def ring_poly(rng, dim, degree):
@@ -284,8 +285,12 @@ def test_partial_plus_complement_is_identity(seed, cut):
         assert g.coeff(k) == pytest.approx(c, rel=1e-14, abs=1e-15)
 
 
-def tail_oracle(f, lp, shape):
-    """Tails from each block sampled alone and a reversed cumsum on every axis."""
+def tail_lattice(f, shape):
+    """Tails from each block sampled alone and a reversed cumsum on every axis.
+
+    One row of prod N square-function samples per start index nu, in
+    lexicographic order of nu.
+    """
     smax = max_block_index(f)
     squares = np.zeros(smax + (int(np.prod(shape)),))
     for s, block in decompose(f).blocks.items():
@@ -293,17 +298,60 @@ def tail_oracle(f, lp, shape):
         squares[tuple(v - 1 for v in s)] = np.square(samples)
     for axis in range(len(smax)):
         squares = np.flip(np.cumsum(np.flip(squares, axis=axis), axis=axis), axis=axis)
-    return batch_norms(np.sqrt(squares.reshape(-1, squares.shape[-1])), lp).reshape(smax)
+    return np.sqrt(squares.reshape(-1, squares.shape[-1]))
 
 
-@pytest.mark.parametrize(
-    "dim, degree, shape",
-    [(1, 14, (32,)), (2, (7, 5), (16, 16)), (2, 9, (32, 32)), (3, (5, 3, 4), (16, 8, 16))],
-)
+def tail_oracle(f, lp, shape):
+    """The lattice tails, sorted and reduced by batch_norms."""
+    return batch_norms(tail_lattice(f, shape), lp).reshape(max_block_index(f))
+
+
+def mean_tail_oracle(f, lp, shape):
+    """tau = p: the plain L_p mean of each lattice tail, with no sort."""
+    assert lp.tau == lp.p
+    rows = tail_lattice(f, shape)
+    means = np.add.reduce(np.power(rows, lp.p), axis=-1) / rows.shape[-1]
+    return (means ** (1.0 / lp.p)).reshape(max_block_index(f))
+
+
+def energy_tail_oracle(f, lp, shape):
+    """p = tau = 2: square roots of the reversed cumsum of the blocks' energies.
+
+    Only decompose(f)'s coefficients are read; nothing is sampled, so the
+    grid shape does not enter.
+    """
+    assert lp.p == lp.tau == 2.0
+    energy = np.zeros(max_block_index(f))
+    for s, block in decompose(f).blocks.items():
+        energy[tuple(v - 1 for v in s)] = np.add.reduce(np.square(np.abs(block.coeffs)).ravel())
+    for axis in range(f.dim):
+        energy = np.flip(np.cumsum(np.flip(energy, axis=axis), axis=axis), axis=axis)
+    return np.sqrt(energy)
+
+
+# (lp, the oracle that reduces the lattice tails as tail_square_norms does)
+TAIL_REDUCTIONS = [
+    (LorentzParams(3.0, 1.5), tail_oracle),
+    (L2, energy_tail_oracle),
+    (P3, mean_tail_oracle),
+]
+ORACLE_CASES = [(1, 14, (32,)), (2, (7, 5), (16, 16)), (2, 9, (32, 32)), (3, (5, 3, 4), (16, 8, 16))]
+
+
+@pytest.mark.parametrize("dim, degree, shape", ORACLE_CASES)
 def test_tail_square_norms_equal_reversed_cumsum_oracle(dim, degree, shape):
     f = ring_poly(np.random.default_rng(43 + dim), dim, degree)
-    for lp in (LorentzParams(3.0, 1.5), L2):
-        assert np.array_equal(tail_square_norms(f, lp, shape), tail_oracle(f, lp, shape))
+    lp = LorentzParams(3.0, 1.5)
+    assert np.array_equal(tail_square_norms(f, lp, shape), tail_oracle(f, lp, shape))
+
+
+@pytest.mark.parametrize("dim, degree, shape", ORACLE_CASES)
+def test_tail_square_norms_at_tau_equal_p_equal_their_oracles(dim, degree, shape):
+    f = ring_poly(np.random.default_rng(43 + dim), dim, degree)
+    for lp, oracle in TAIL_REDUCTIONS[1:]:
+        got = tail_square_norms(f, lp, shape)
+        assert np.array_equal(got, oracle(f, lp, shape))
+        assert_within_ulps(got, tail_oracle(f, lp, shape))
 
 
 def gappy_poly(dim):
@@ -328,14 +376,30 @@ GAPPY_SHAPES = {1: (64,), 2: (64, 16), 3: (64, 16, 8)}
 def test_tail_square_norms_with_empty_slabs_equal_the_oracle(dim):
     f, shape = gappy_poly(dim), GAPPY_SHAPES[dim]
     assert max_block_index(f)[0] == 5
-    for lp in (LorentzParams(3.0, 1.5), L2, LorentzParams(3.0, 3.0)):
+    for lp, oracle in TAIL_REDUCTIONS:
         got = tail_square_norms(f, lp, shape)
-        assert np.array_equal(got, tail_oracle(f, lp, shape))
+        assert np.array_equal(got, oracle(f, lp, shape))
+        assert_within_ulps(got, tail_oracle(f, lp, shape))
         # an empty slab adds nothing: its tails are those of the slab above
         assert np.array_equal(got[0], got[1]) and np.array_equal(got[2], got[3])
         assert np.all(got[:4] > 0.0)
         # at m >= 2 the top slab holds no block, at m = 1 it does
         assert np.all(got[4] == 0.0) == (dim > 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dense_tails_at_tau_equal_p_sample_nothing_at_l2_and_sort_nothing(monkeypatch, dim):
+    f, shape = gappy_poly(dim), GAPPY_SHAPES[dim]
+    batches = record_batches(monkeypatch)
+    calls = count_outer_products(monkeypatch)
+    # the slab path calls spectral's own binding of _reduce_powered
+    monkeypatch.setattr(spectral, "_reduce_powered", lorentz._reduce_powered)
+    tail_square_norms(f, L2, shape)
+    assert batches == []
+    tail_square_norms(f, P3, shape)
+    assert batches and calls["_reduce_powered"] == 0
+    tail_square_norms(f, LorentzParams(3.0, 1.5), shape)
+    assert calls["_reduce_powered"] > 0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -419,6 +419,18 @@ def test_doubled_workspace_is_the_corpus_at_twice_the_degree(small_corpus, threa
     assert ("check", "lemma2_bernstein", LP, SP.k) in wsd._cache
 
 
+def test_doubled_workspace_keeps_the_corpus_families():
+    # the probe compares the same function set at twice the degree
+    assert generate_corpus(seed=7, dim=2, max_degree=8).families == (
+        "single_block", "lacunary", "random_decay", "tensor",
+    )
+    corpus = generate_corpus(seed=7, dim=1, max_degree=8, families=("lacunary",))
+    doubled = Workspace(corpus, VerifyConfig()).doubled().corpus
+    assert corpus.families == doubled.families == ("lacunary",)
+    assert doubled.max_degree == 16
+    assert [cf.fid for cf in doubled] == [cf.fid for cf in corpus]
+
+
 @pytest.mark.parametrize("threads", [1, 4])
 def test_cutoffs_and_tails_evaluated_once_per_key(small_corpus, monkeypatch, threads):
     # each (fid, p, tau, cutoff) row of angle_residual_norms and each
