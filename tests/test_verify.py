@@ -18,6 +18,7 @@ from mixsmooth.seqnorms import theorem1_rhs, theorem2_rhs, theorem3_norm, theore
 from mixsmooth.smoothness import (
     difference_norms,
     log_modulus_seminorm,
+    _step_lattice,
     mixed_modulus,
     modulus_grid,
 )
@@ -35,6 +36,8 @@ from mixsmooth.verify import (
     VerifyConfig,
     Workspace,
     _check_lemma1_monotone,
+    _bounded_max,
+    _check_lemma1_subadd,
     _row_stats,
     _thm5_23_params,
     check_sided,
@@ -615,3 +618,153 @@ def test_lemma1_monotone_witness_is_tie_stable():
             assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
             moved += int(np.argmax(ratios(ws.values))) != int(np.argmax(r))
     assert moved > 0
+
+
+# --- step classes and the subadditivity scan ----------------------------------
+
+
+def test_workspace_step_classes_equal_fresh_library_values_bitwise():
+    # at m = 2 a row and its axis swap have the same bits, so the moduli,
+    # tables and seminorms (grown past the table at b = 1) read through the
+    # class-keyed memo equal the fresh library values
+    corpus = generate_corpus(seed=7, dim=2, max_degree=8)
+    cfg = VerifyConfig(stability=False)
+    ws = Workspace(corpus, cfg)
+    h_grid = cfg.h_grid
+    sp = SmoothParams(1.0, (1.0, 1.0))
+    regrown = 0
+    for lp in (LP, LorentzParams(3.0, 3.0), LorentzParams(2.0, 2.0)):
+        for cf in corpus:
+            f, shape = cf.poly, ws.shape(cf.fid)
+            for t in ((0.5, 0.5), (0.1, 0.3)):
+                assert ws.modulus(cf.fid, lp, sp.k, t) == mixed_modulus(
+                    f, t, sp.k, lp, h_grid=h_grid, shape=shape, refine=False
+                )
+            grid = ws.mod_grid(cf.fid, lp, sp.k)
+            fresh = modulus_grid(f, sp.k, lp, grid.nu_max, h_grid=h_grid, shape=shape)
+            assert np.array_equal(grid.values, fresh.values)
+            semi = ws.semi(cf.fid, lp, sp)
+            want = log_modulus_seminorm(f, sp, lp, h_grid=h_grid, shape=shape, grid=fresh)
+            assert (semi.value, semi.tail_bound, semi.nu_max) == (
+                want.value, want.tail_bound, want.nu_max
+            )
+            regrown += any(a > b for a, b in zip(semi.nu_max, grid.nu_max))
+    assert regrown > 0
+
+
+def test_difference_norms_get_one_row_per_axis_swap_class(monkeypatch):
+    # a lacunary member's axes have equal factors, so of a step and its swap
+    # only one reaches difference_norms; tensor/0's factors differ, and
+    # k = (1, 2) tells the axes apart, so both rows of a swap are evaluated
+    corpus = generate_corpus(seed=7, dim=2, max_degree=8)
+    fids = {id(cf.poly): cf.fid for cf in corpus}
+    seen = {}
+
+    def recording(f, h_list, k, lp, shape=None):
+        rows = seen.setdefault((fids[id(f)], tuple(k)), set())
+        rows.update(map(tuple, np.asarray(h_list).tolist()))
+        return difference_norms(f, h_list, k, lp, shape)
+
+    monkeypatch.setattr(mixsmooth.verify, "difference_norms", recording)
+    ws = Workspace(corpus, VerifyConfig(stability=False))
+    for fid in ("lacunary/0", "lacunary/2", "tensor/0"):
+        for k in ((1, 1), (1, 2)):
+            ws.mod_grid(fid, LP, k)
+            ws.modulus(fid, LP, k, (0.5, 0.5))
+
+    def swapped(fid, k):
+        rows = seen[(fid, k)]
+        return {(a, b) for a, b in rows if a != b and (b, a) in rows}
+
+    for fid in ("lacunary/0", "lacunary/2"):
+        assert any(a != b for a, b in seen[(fid, (1, 1))])
+        assert not swapped(fid, (1, 1))
+        assert swapped(fid, (1, 2))
+    assert swapped("tensor/0", (1, 1))
+
+
+def test_bounded_max_is_the_max_under_any_bound_within_the_slack():
+    # synthetic rows whose maximum sits anywhere in the bound order, under a
+    # tight bound, a loose one, one that undershoots each norm by less than
+    # the 1e-12 slack, and a flat one that skips nothing
+    rng = np.random.default_rng(3)
+    norms = 1.0 + rng.random(400) * 1e-3
+    steps = np.arange(norms.size, dtype=np.float64)[:, None]
+
+    def scan(bound):
+        seen = []
+
+        def norms_at(rows):
+            seen.extend(rows[:, 0].astype(int).tolist())
+            return norms[rows[:, 0].astype(int)]
+
+        value = _bounded_max(norms_at, steps, bound)
+        assert len(seen) == len(set(seen))
+        return value, len(seen)
+
+    for bound, evaluated in (
+        (norms * (1.0 + 1e-6), lambda n: n < 100),
+        (norms * (1.0 + rng.random(norms.size) * 1e-4), lambda n: n < norms.size),
+        (norms * (1.0 + rng.random(norms.size) * 10.0), lambda n: n > 0),
+        (norms * (1.0 - 5e-13), lambda n: n < 100),
+        (np.full(norms.size, norms.max()), lambda n: n == norms.size),
+    ):
+        value, n = scan(bound)
+        assert value == norms.max()
+        assert evaluated(n), n
+
+
+SUBADD_LP = [(2.0, 2.0), (3.0, 1.5), (3.0, 3.0), (6.0, 1.1), (1.5, 3.0)]
+
+
+@pytest.mark.parametrize(
+    "dim, degree, p, tau",
+    [(2, 8, p, tau) for p, tau in SUBADD_LP] + [(3, 4, 3.0, 1.5)],
+)
+def test_lemma1_subadd_lhs_is_the_full_lattice_max_bitwise(dim, degree, p, tau):
+    # the bound-ordered scan reports np.max over the whole lattice of the
+    # sum's difference norms, bit for bit, on every pair and t
+    corpus = generate_corpus(seed=7, dim=dim, max_degree=degree)
+    cfg = VerifyConfig(stability=False)
+    ws = Workspace(corpus, cfg)
+    lp, k = LorentzParams(p, tau), (1,) * dim
+    rows, _ = _check_lemma1_subadd(ws, lp, k)
+    assert len(rows) == 2 * len(corpus)
+    for row in rows:
+        pair, t = row.fid.split("@t=")
+        member = tuple(pair.split("+"))
+        steps = _step_lattice((float(t),) * dim, cfg.h_grid)
+        full = difference_norms(ws.poly(member), steps, k, lp, ws.shape(member))
+        assert row.lhs == float(np.max(full))
+
+
+@pytest.mark.parametrize("p, tau", [(3.0, 1.5), (1.5, 3.0)])
+def test_lemma1_subadd_requests_the_full_lattice_unless_the_bound_holds(monkeypatch, p, tau):
+    # rows of f + g are skipped only where the triangle inequality holds
+    # row by row: tau <= p and f, g and f + g sampled on one grid
+    corpus = generate_corpus(seed=7, dim=2, max_degree=8)
+    ws = Workspace(corpus, VerifyConfig(stability=False))
+    requested = Counter()
+    step_norms = Workspace.step_norms
+
+    def recording(self, member, lp, k, h):
+        if not isinstance(member, str):
+            requested[member] += len(h)
+        return step_norms(self, member, lp, k, h)
+
+    monkeypatch.setattr(Workspace, "step_norms", recording)
+    _check_lemma1_subadd(ws, LorentzParams(p, tau), (1, 1))
+    full = 2 * 9 * 9
+    mismatched = ("single_block/1", "single_block/2")
+    assert ws.shape(mismatched[0]) != ws.shape(mismatched)
+    assert requested[mismatched] == full
+    one_grid = [
+        pair for pair in requested
+        if ws.shape(pair[0]) == ws.shape(pair[1]) == ws.shape(pair)
+    ]
+    assert one_grid and len(one_grid) < len(requested)
+    for pair, count in requested.items():
+        if tau > p or pair not in one_grid:
+            assert count == full, pair
+        else:
+            assert count < full, pair
