@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import InvalidParams, LorentzParams, TrigPoly, axis_product
 from .lorentz import lorentz_norm
+from .smoothness import _order_tuple
 from .spectral import angle_residual
 
 __all__ = [
@@ -155,11 +156,7 @@ def direct_approximant(f: TrigPoly, l, k=1) -> TrigPoly:
     l = tuple(int(v) for v in l)
     if len(l) != f.dim or any(v < 0 for v in l):
         raise InvalidParams(f"approximant orders must be >= 0 per axis, got {l}")
-    if np.isscalar(k):
-        k = (k,) * f.dim
-    k = tuple(int(v) for v in k)
-    if len(k) != f.dim or any(v < 1 for v in k):
-        raise InvalidParams(f"difference orders must be >= 1 per axis, got {k}")
+    k = _order_tuple(k, f.dim)
     mult = axis_product([
         smoothing_multiplier(jackson_kernel(lj, kj), f.freqs(axis))
         for axis, (lj, kj) in enumerate(zip(l, k))

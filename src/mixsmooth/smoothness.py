@@ -205,7 +205,7 @@ def _axis_union(t_values: np.ndarray, n_tight: int, h_grid: int):
     is evaluated once.
     """
     levels = [
-        np.linspace(0.0, tj, h_grid) if tj * max(n_tight, 1) > 1.0 and h_grid > 1
+        np.linspace(0.0, tj, h_grid) if tj * max(n_tight, 1) > 1.0
         else np.array([tj])
         for tj in t_values
     ]
@@ -225,6 +225,8 @@ def modulus_grid(
     """
     k = _order_tuple(k, f.dim)
     nu_max = _level_tuple(nu_max, f.dim)
+    if h_grid < 2:
+        raise InvalidParams(f"h_grid must be >= 2, got {h_grid}")
     return _fold_grid(
         f, k, lp, nu_max, h_grid, lambda pts: difference_norms(f, pts, k, lp, shape)
     )
@@ -308,14 +310,14 @@ def _certified_tail(
     return float(max(tail_theta, 0.0) ** (1.0 / theta))
 
 
-def _weighted_box_value(grid: ModulusGrid, sp: SmoothParams) -> float:
+def _weighted_box_value(values: np.ndarray, sp: SmoothParams) -> float:
     theta = sp.theta
-    nus = [np.arange(1, v + 1, dtype=np.float64) for v in grid.nu_max]
+    nus = [np.arange(1, v + 1, dtype=np.float64) for v in values.shape]
     if math.isinf(theta):
         weight = axis_product([arr**bj for arr, bj in zip(nus, sp.b)])
-        return float(np.max(weight * grid.values))
+        return float(np.max(weight * values))
     acc = axis_product([arr ** (theta * bj) for arr, bj in zip(nus, sp.b)])
-    total = float(np.sum(acc * grid.values**theta))
+    total = float(np.sum(acc * values**theta))
     return total ** (1.0 / theta)
 
 
@@ -333,12 +335,20 @@ def log_modulus_seminorm(
     nu_max = None picks the truncation automatically: starting a few levels
     past the spectral radius, the box grows until the certified tail stays
     under 1% of the partial value.  A precomputed ModulusGrid can be passed
-    to reuse modulus values; it must match (p, tau, k, h_grid).  A box that
-    fits inside it is sliced from it, and a larger box is tabulated at
-    exactly its own size.
+    to reuse modulus values; it must match (p, tau, k, h_grid), or InvalidParams
+    is raised.  A box that fits inside it is sliced from it, and a larger box
+    is tabulated at exactly its own size.
     """
     if sp.dim != f.dim:
         raise InvalidParams(f"smoothness bundle has {sp.dim} axes, function has {f.dim}")
+    if nu_max is not None:
+        nu_max = _level_tuple(nu_max, f.dim)
+    want = (lp.p, lp.tau, sp.k, h_grid)
+    if grid is not None and (grid.p, grid.tau, grid.k, grid.h_grid) != want:
+        raise InvalidParams(
+            f"grid built at (p, tau, k, h_grid) = {(grid.p, grid.tau, grid.k, grid.h_grid)}, "
+            f"the call asks for {want}"
+        )
     deriv_norm = poly_norm(derivative(f, sp.k), lp, shape)
     return _seminorm(
         f, sp, deriv_norm, nu_max, grid,
@@ -349,28 +359,13 @@ def log_modulus_seminorm(
 def _seminorm(
     f: TrigPoly, sp: SmoothParams, deriv_norm: float, nu_max, grid, build
 ) -> SeminormResult:
-    """log_modulus_seminorm given ||D^k f||; build(box) tabulates a box grid misses."""
+    """log_modulus_seminorm given ||D^k f||; nu_max is checked, build(box) tabulates misses."""
     auto = nu_max is None
-    if auto:
-        start = tuple(
-            max(int(n).bit_length() + 3, 5) for n in f.tight_degree()
-        )
-    else:
-        start = _level_tuple(nu_max, f.dim)
-    box = start
+    box = tuple(max(int(n).bit_length() + 3, 5) for n in f.tight_degree()) if auto else nu_max
     for _ in range(8):
         if grid is None or any(g < v for g, v in zip(grid.nu_max, box)):
             grid = build(box)
-        sub = ModulusGrid(
-            p=grid.p,
-            tau=grid.tau,
-            k=grid.k,
-            h_grid=grid.h_grid,
-            nu_max=box,
-            t_values=tuple(t[:v] for t, v in zip(grid.t_values, box)),
-            values=grid.values[tuple(slice(0, v) for v in box)],
-        )
-        partial = _weighted_box_value(sub, sp)
+        partial = _weighted_box_value(grid.values[tuple(slice(0, v) for v in box)], sp)
         tail = _certified_tail(sp, box, deriv_norm)
         if math.isinf(sp.theta):
             err = max(0.0, tail - partial)

@@ -395,14 +395,14 @@ class Workspace:
     theta, b) of a run.  A workspace has one config, so no key needs h_grid.
 
     Row memos (_rows) hold difference norms per (member, p, tau, k) by
-    canonical step class (step_norms), a member being a fid or, for
-    lemma1_subadd, a pair of fids standing for their sum, whose rows it
-    requests best triangle bound first; and cutoff residual norms per (fid,
-    p, tau) by exact cutoff l.  A request evaluates only its rows not yet
-    seen, in one batch; a row's norm does not depend on its batch, so at
-    m <= 2 every quantity has the bits of its fresh build.  The rows of the
-    checks that read no theta or b are cached under (check, p, tau, k), and
-    doubled() is the workspace of the stability probe.
+    canonical step class (step_norms), a member being a fid or a pair of
+    fids standing for their sum, both served by modulus (a pair best
+    triangle bound first where that bound holds); and cutoff residual
+    norms per (fid, p, tau) by exact cutoff l.  A request evaluates only
+    its rows not yet seen, in one batch; a row's norm does not depend on
+    its batch, so at m <= 2 every quantity has the bits of its fresh build.
+    The rows of the checks that read no theta or b are cached under (check,
+    p, tau, k), and doubled() is the workspace of the stability probe.
 
     Threads may share a workspace: each key and memo is built once, under
     its own lock.
@@ -565,14 +565,22 @@ class Workspace:
         box = tuple(max(int(n).bit_length() + 6, 8) for n in self._tight[fid])
         return self._grid(fid, lp, k, box)
 
-    def modulus(self, fid: str, lp: LorentzParams, k: tuple, t: tuple) -> float:
-        # mixed_modulus(f, t, k, lp, refine=False) on the memo
+    def modulus(self, member, lp: LorentzParams, k: tuple, t: tuple) -> float:
+        # mixed_modulus(poly(member), t, k, lp, refine=False) on the memo.  A
+        # pair's rows go best triangle bound first only where that bound holds
+        # row by row, a norm (tau <= p) on one grid: on about half the pairs f
+        # or g has a coarser grid than f + g, whose norms differ by up to 0.6%.
         t = tuple(float(v) for v in t)
-        key = ("mod", fid, lp, tuple(k), t)
+        key = ("mod", member, lp, tuple(k), t)
 
         def build():
             steps = _step_lattice(t, self.config.h_grid)
-            return float(np.max(self.step_norms(fid, lp, k, steps)))
+            if isinstance(member, tuple) and lp.tau <= lp.p and (
+                self.shape(member[0]) == self.shape(member[1]) == self.shape(member)
+            ):
+                nf, ng = (self.step_norms(fid, lp, k, steps) for fid in member)
+                return _bounded_max(lambda h: self.step_norms(member, lp, k, h), steps, nf + ng)
+            return float(np.max(self.step_norms(member, lp, k, steps)))
 
         return self._get(key, build)
 
@@ -683,11 +691,8 @@ def _bounded_max(norms_at, steps: np.ndarray, bound: np.ndarray) -> float:
 
 
 def _check_lemma1_subadd(ws: Workspace, lp, k):
-    # All three maxima range over one lattice of steps h.  The exact window
-    # (0, 1 + 1e-9] rests on the triangle inequality, which holds row by row
-    # only where the functional is a norm (tau <= p) on one grid; on about
-    # half the pairs f or g is sampled on a coarser grid than f + g, whose
-    # norms differ by up to 0.6%.  Only where both hold may rows be skipped.
+    # All three maxima range over one lattice of steps h; the exact window
+    # (0, 1 + 1e-9] rests on the triangle inequality (see Workspace.modulus)
     rows = []
     members = list(ws.corpus)
     for i, cf in enumerate(members):
@@ -695,16 +700,11 @@ def _check_lemma1_subadd(ws: Workspace, lp, k):
         if cg.fid == cf.fid or cf.poly.dim != cg.poly.dim:
             continue
         pair = (cf.fid, cg.fid)
-        bounded = lp.tau <= lp.p and ws.shape(cf.fid) == ws.shape(cg.fid) == ws.shape(pair)
         for t in (0.75, 0.2):
-            h_list = _step_lattice((t,) * cf.poly.dim, ws.config.h_grid)
-            nf, ng = (ws.step_norms(fid, lp, k, h_list) for fid in pair)
-            if bounded:
-                lhs = _bounded_max(lambda h: ws.step_norms(pair, lp, k, h), h_list, nf + ng)
-            else:
-                lhs = float(np.max(ws.step_norms(pair, lp, k, h_list)))
-            rf, rg = float(np.max(nf)), float(np.max(ng))
-            rows.append(RatioRow(f"{cf.fid}+{cg.fid}@t={t}", lhs, rf + rg))
+            tv = _diag(t, cf.poly.dim)
+            lhs = ws.modulus(pair, lp, k, tv)
+            rhs = ws.modulus(cf.fid, lp, k, tv) + ws.modulus(cg.fid, lp, k, tv)
+            rows.append(RatioRow(f"{cf.fid}+{cg.fid}@t={t}", lhs, rhs))
     return rows, {}
 
 

@@ -14,7 +14,7 @@ from mixsmooth.approx import (
     kernel_residual_norm,
     smoothing_multiplier,
 )
-from mixsmooth.core import LorentzParams, cosine, tensor
+from mixsmooth.core import InvalidParams, LorentzParams, cosine, tensor
 from mixsmooth.lorentz import poly_norm
 from mixsmooth.spectral import angle_residual
 
@@ -113,6 +113,14 @@ def test_approximant_2d_is_separable_multiplier():
     m2 = smoothing_multiplier(k2, f.freqs(1))
     want = f.apply_multiplier(np.outer(m1, m2))
     assert np.allclose(g.coeffs, want.coeffs, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [0, (1, 0), (1,), (1, 1, 1)])
+def test_approximant_rejects_bad_difference_orders(k):
+    # orders below 1 or not one per axis, checked as the difference operators do
+    f = ring_poly(np.random.default_rng(31), 2, 6)
+    with pytest.raises(InvalidParams, match="difference orders"):
+        direct_approximant(f, (4, 7), k=k)
 
 
 def test_residual_vanishes_once_kernel_covers_the_spectrum():

@@ -243,6 +243,23 @@ def test_verify_h_grid_below_two_is_config_error(tmp_path, capsys, h_grid):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["modulus", "--fn", "cos:3", "--h-grid", "-3"],
+        ["modulus", "--fn", "prod(cos:2,cos:3)", "--levels", "3", "--h-grid", "1"],
+        ["norm", "--kind", "boldB", "--fn", "cos:3", "--h-grid", "0"],
+        ["sweep", "--kind", "modulus", "--fn", "cos:3", "--steps", "2", "--h-grid", "1"],
+    ],
+)
+def test_h_grid_below_two_is_config_error(capsys, args):
+    # every modulus lattice takes at least its two endpoints
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert f"h_grid must be >= 2, got {args[-1]}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "args, flag",
     [
         (["verify", "--check", "thm1", "--k", "1.7"], "k"),

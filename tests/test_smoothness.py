@@ -18,6 +18,7 @@ from mixsmooth.core import (
     tensor,
 )
 from mixsmooth.lorentz import poly_norm
+from mixsmooth.seqnorms import norm_bold_B
 from mixsmooth.smoothness import (
     TailNotConverged,
     derivative,
@@ -340,6 +341,16 @@ def test_seminorm_reuses_precomputed_grid_exactly():
     reused = log_modulus_seminorm(f, sp, L2, nu_max=(6,), grid=grid)
     assert reused.value == fresh.value
     assert reused.tail_bound == fresh.tail_bound
+    # a grid built at another (p, tau), k or h_grid is refused, not sliced
+    for other in (
+        modulus_grid(f, sp.k, LP_MIXED, (6,)),
+        modulus_grid(f, 2, L2, (6,)),
+        modulus_grid(f, sp.k, L2, (6,), h_grid=3),
+    ):
+        with pytest.raises(InvalidParams, match="grid built at"):
+            log_modulus_seminorm(f, sp, L2, nu_max=(6,), grid=other)
+        with pytest.raises(InvalidParams, match="grid built at"):
+            norm_bold_B(f, L2, sp, nu_max=(6,), grid=other)
 
 
 def test_seminorm_scales_linearly():
