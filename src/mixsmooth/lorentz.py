@@ -41,7 +41,11 @@ row with unit factors.  The reductions, by (p, tau):
   and multiplied by the negated step weights, computed once per (size, p,
   tau) (_reduce_powered).  The per-axis path reduces the same way, on the
   outer product of the powered rows (axis_product) formed in the same
-  chunks.
+  chunks.  Where that pays (a grid of at least _DISTINCT_MIN_SIZE points,
+  and at most a quarter as many distinct products as cells), a tensor row
+  sorts only the products of its per-axis distinct values and repeats each
+  by its multiplicity (_sorted_distinct).  That is the full sort's array,
+  so the norm has the full sort's bits.
 - tau = p != 2: the norm is the plain L_p mean, and nothing is negated or
   sorted.  A dense row is reduced by (sum |x|^p / M)^(1/p) (_mean_norms).
   A tensor row forms no outer product: the mean of a tensor product is the
@@ -91,6 +95,8 @@ __all__ = [
 # plus an (n_m + 1)-wide complex half spectrum.  The abs, power and sort steps
 # share one float64 copy.  Twice the rows per chunk ran verify slower.
 # A per-axis chunk takes the same number of rows, as one float64 outer product.
+# A tensor row that sorts its distinct products is not chunked: it is expanded
+# and reduced alone, in one float64 row of prod N plus its distinct products.
 # At p = tau = 2 a chunk is rows x coefficient-box points x 16 B instead: the
 # float64 products of |f.coeffs|^2 with the rows' |factors|^2 fill half of it.
 # The sampled dense tails of spectral.tail_square_norms hold one chunk on top
@@ -151,15 +157,23 @@ def batch_norms(values: np.ndarray, lp: LorentzParams) -> np.ndarray:
 def _reduce_powered(arr: np.ndarray, lp: LorentzParams) -> np.ndarray:
     """Norms of rows of |x|^tau, shape (B, M) -> (B,); arr is overwritten.
 
-    -|x|^tau -> ascending sort -> row sums of the products with the negated
-    step weights -> 1/tau power.  Powering before sorting keeps the order
-    because x -> x^tau is increasing; negation is exact, so the ascending
-    sort of -|x|^tau is the non-increasing rearrangement of |x|^tau negated,
-    and (-a)(-w) = a w makes every product and partial sum equal those of
-    lorentz_norm_sorted on the rearranged rows.
+    -|x|^tau -> ascending sort -> _reduce_sorted.  Powering before sorting
+    keeps the order because x -> x^tau is increasing; negation is exact, so
+    the ascending sort of -|x|^tau is the non-increasing rearrangement of
+    |x|^tau negated.
     """
     np.negative(arr, out=arr)
     arr.sort(axis=-1)
+    return _reduce_sorted(arr, lp)
+
+
+def _reduce_sorted(arr: np.ndarray, lp: LorentzParams) -> np.ndarray:
+    """Norms of rows of -|x|^tau sorted ascending, shape (B, M) -> (B,); arr is overwritten.
+
+    Row sums of the products with the negated step weights -> 1/tau power:
+    (-a)(-w) = a w makes every product and partial sum equal those of
+    lorentz_norm_sorted on the rearranged rows.
+    """
     acc = _weighted_row_sums(arr, _negated_step_weights(arr.shape[-1], lp))
     return acc ** (1.0 / lp.tau)
 
@@ -230,20 +244,82 @@ def _outer_norms(tables, lp: LorentzParams) -> np.ndarray:
     tables[j][b].  At tau = p the norm is the L_p mean, and the mean of an
     outer product is the product of the per-axis means (Fubini), so no
     outer product is formed and nothing is sorted: each mean is the pairwise
-    sum of one table row alone over N_j.  Otherwise the outer products are
-    formed by axis_product in chunks of _chunk_rows rows and reduced by
-    _reduce_powered, which may overwrite the tables.
+    sum of one table row alone over N_j.  Otherwise the per-axis distinct
+    values and counts are found once per call (_distinct_axes).  A row with
+    few distinct products sorts only those, expands them by multiplicity
+    (_sorted_distinct) into one row of prod N_j cells and is reduced alone
+    by _reduce_sorted.  The other rows' outer products are formed by
+    axis_product in chunks of _chunk_rows rows and reduced by
+    _reduce_powered.  Both paths give a row the same sorted array, so the
+    same bits.  The tables are left as they were.
     """
     if lp.tau == lp.p:
         mean = np.prod([np.add.reduce(t, axis=-1) / t.shape[1] for t in tables], axis=0)
         return mean ** (1.0 / lp.tau)
-    count = len(tables[0])
-    chunk = _chunk_rows([t.shape[1] for t in tables])
-    norms = np.empty(count)
-    for start in range(0, count, chunk):
-        outer = axis_product([t[start : start + chunk] for t in tables])
-        norms[start : start + chunk] = _reduce_powered(outer.reshape(len(outer), -1), lp)
+    shape = [t.shape[1] for t in tables]
+    size = int(np.prod(shape))
+    full, few = _distinct_axes(tables, size)
+    norms = np.empty(len(tables[0]))
+    for b, axes in few.items():
+        norms[b] = _reduce_sorted(_sorted_distinct(axes)[None], lp)[0]
+    chunk = _chunk_rows(shape)
+    for start in range(0, len(full), chunk):
+        rows = full[start : start + chunk]
+        outer = axis_product([t[rows] for t in tables])
+        norms[rows] = _reduce_powered(outer.reshape(len(rows), -1), lp)
     return norms
+
+
+# Smallest outer product whose rows may sort their distinct products instead.
+# Below it, or where the distinct products exceed a quarter of the cells, the
+# per-row bookkeeping costs more than the full sort saves.
+_DISTINCT_MIN_SIZE = 2**14
+
+
+def _distinct_axes(tables, size: int):
+    """Split the rows of _outer_norms: (full, few).
+
+    few maps each row b that sorts its distinct products to its
+    [(values, counts) per axis]: the distinct entries of tables[j][b] in
+    ascending order and their multiplicities.  A row is in few only if
+    size >= _DISTINCT_MIN_SIZE and its K = prod_j len(values_j) distinct
+    products are at most size / 4; full holds the other rows' indices, in
+    order, which take the full sort.
+    """
+    count = len(tables[0])
+    if size < _DISTINCT_MIN_SIZE:
+        return np.arange(count), {}
+    runs = []
+    for t in tables:
+        s = np.sort(t, axis=1)
+        first = np.ones(s.shape, dtype=bool)
+        np.not_equal(s[:, 1:], s[:, :-1], out=first[:, 1:])
+        runs.append((s, first))
+    sparse = 4 * np.prod([first.sum(axis=1) for _, first in runs], axis=0) <= size
+    few = {}
+    for b in np.flatnonzero(sparse):
+        axes = []
+        for s, first in runs:
+            starts = np.flatnonzero(first[b])
+            axes.append((s[b, starts], np.diff(starts, append=s.shape[1])))
+        few[b] = axes
+    return np.flatnonzero(~sparse), few
+
+
+def _sorted_distinct(axes) -> np.ndarray:
+    """Ascending sort of a tensor row's negated outer product, from _distinct_axes.
+
+    The products of the distinct values are formed by axis_product, so each
+    has the bits of every cell of the full outer product with those values;
+    they are negated, sorted and repeated by the products of their counts.
+    A multiset has one sorted array, and every entry is >= +0.0 and not NaN,
+    so every zero is -0.0 after negation: this is the full sort, bit for bit.
+    """
+    products = axis_product([values for values, _ in axes]).ravel()
+    np.negative(products, out=products)
+    order = np.argsort(products)
+    counts = axis_product([c for _, c in axes]).ravel()
+    return np.repeat(products[order], counts[order])
 
 
 def _tensor_norms(degree, axis_rows, lp: LorentzParams, shape) -> np.ndarray:

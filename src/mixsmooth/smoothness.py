@@ -42,6 +42,7 @@ from .core import (
     SmoothParams,
     TrigPoly,
     _as_int_tuple,
+    _grid,
     axis_product,
 )
 from .lorentz import multiplier_norms, poly_norm
@@ -179,13 +180,15 @@ class ModulusGrid:
     product U_1(nu_1) x ... x U_m(nu_m) of per-axis unions
     U_j(nu_j) = union of L_j(nu'_j) over nu'_j >= nu_j, so every entry's
     h-set contains the h-sets of all finer entries and the stored values are
-    non-increasing in every nu_j exactly, by construction.
+    non-increasing in every nu_j exactly, by construction.  shape is the
+    sampling grid of the difference norms.
     """
 
     p: float
     tau: float
     k: tuple[int, ...]
     h_grid: int
+    shape: tuple[int, ...]
     nu_max: tuple[int, ...]
     t_values: tuple[np.ndarray, ...]
     values: np.ndarray
@@ -227,13 +230,16 @@ def modulus_grid(
     nu_max = _level_tuple(nu_max, f.dim)
     if h_grid < 2:
         raise InvalidParams(f"h_grid must be >= 2, got {h_grid}")
+    shape = _grid(f, shape)
     return _fold_grid(
-        f, k, lp, nu_max, h_grid, lambda pts: difference_norms(f, pts, k, lp, shape)
+        f, k, lp, nu_max, h_grid, lambda pts: difference_norms(f, pts, k, lp, shape), shape
     )
 
 
-def _fold_grid(f: TrigPoly, k, lp: LorentzParams, nu_max, h_grid: int, norms_at) -> ModulusGrid:
-    """modulus_grid on validated arguments; norms_at(steps) gives the table's norms."""
+def _fold_grid(
+    f: TrigPoly, k, lp: LorentzParams, nu_max, h_grid: int, norms_at, shape=None
+) -> ModulusGrid:
+    """modulus_grid on validated arguments; norms_at(steps) gives the table's norms on shape."""
     t_values = tuple(2.0 ** (1 - np.arange(1, v + 1, dtype=np.float64)) for v in nu_max)
     unions = [
         _axis_union(tv, n, h_grid) for tv, n in zip(t_values, f.tight_degree())
@@ -248,6 +254,7 @@ def _fold_grid(f: TrigPoly, k, lp: LorentzParams, nu_max, h_grid: int, norms_at)
         tau=lp.tau,
         k=k,
         h_grid=h_grid,
+        shape=_grid(f, shape),
         nu_max=nu_max,
         t_values=t_values,
         values=values,
@@ -335,19 +342,20 @@ def log_modulus_seminorm(
     nu_max = None picks the truncation automatically: starting a few levels
     past the spectral radius, the box grows until the certified tail stays
     under 1% of the partial value.  A precomputed ModulusGrid can be passed
-    to reuse modulus values; it must match (p, tau, k, h_grid), or InvalidParams
-    is raised.  A box that fits inside it is sliced from it, and a larger box
+    to reuse modulus values; it must match (p, tau, k, h_grid) and the
+    sampling grid, or InvalidParams is raised.  A box that fits inside it is sliced from it, and a larger box
     is tabulated at exactly its own size.
     """
     if sp.dim != f.dim:
         raise InvalidParams(f"smoothness bundle has {sp.dim} axes, function has {f.dim}")
     if nu_max is not None:
         nu_max = _level_tuple(nu_max, f.dim)
-    want = (lp.p, lp.tau, sp.k, h_grid)
-    if grid is not None and (grid.p, grid.tau, grid.k, grid.h_grid) != want:
+    shape = _grid(f, shape)
+    want = (lp.p, lp.tau, sp.k, h_grid, shape)
+    built = (grid.p, grid.tau, grid.k, grid.h_grid, grid.shape) if grid is not None else want
+    if built != want:
         raise InvalidParams(
-            f"grid built at (p, tau, k, h_grid) = {(grid.p, grid.tau, grid.k, grid.h_grid)}, "
-            f"the call asks for {want}"
+            f"grid built at (p, tau, k, h_grid, shape) = {built}, the call asks for {want}"
         )
     deriv_norm = poly_norm(derivative(f, sp.k), lp, shape)
     return _seminorm(

@@ -556,7 +556,7 @@ class Workspace:
         def build():
             return _fold_grid(
                 self.poly(fid), tuple(k), lp, box, self.config.h_grid,
-                lambda pts: self.step_norms(fid, lp, k, pts),
+                lambda pts: self.step_norms(fid, lp, k, pts), self.shape(fid),
             )
 
         return self._get(key, build)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsmooth import lorentz
+from mixsmooth import lorentz, spectral
 from mixsmooth.core import (
     GridTooCoarse,
     InvalidParams,
@@ -32,7 +32,13 @@ from mixsmooth.lorentz import (
     poly_norm,
 )
 from mixsmooth.smoothness import _difference_factors, derivative
-from mixsmooth.spectral import _block_tables, _nonzero_rows, _residual_masks, tail_square_norms
+from mixsmooth.spectral import (
+    _block_tables,
+    _nonzero_rows,
+    _residual_masks,
+    block_norms,
+    tail_square_norms,
+)
 from mixsmooth.verify import generate_corpus
 
 from test_core import random_poly, record_paths, tensor_member
@@ -563,6 +569,100 @@ def test_tensor_members_at_tau_equal_p_form_no_outer_product(monkeypatch, degree
     # the counters do count: tau != p forms and sorts the outer products
     multiplier_norms(f, factors, LorentzParams(3.0, 1.5), shape)
     assert calls["axis_product"] > 0 and calls["_reduce_powered"] > 0
+
+
+# --- tensor rows that sort their distinct products ---------------------------
+# On a large grid a tensor row whose per-axis samples repeat sorts only the
+# products of its distinct values and repeats each by its multiplicity; the
+# sorted row, and so the norm, has the bits of the full sort.
+
+
+def full_sort_norms(tables, lp):
+    """The reference: every row's whole outer product, negated and sorted."""
+    outer = axis_product([t.copy() for t in tables])  # at m = 1 it is the table itself
+    return lorentz._reduce_powered(outer.reshape(len(outer), -1), lp)
+
+
+def record_outer_paths(monkeypatch):
+    """Count the tensor rows reduced by the full sort and by their distinct products."""
+    rows = {"full": 0, "distinct": 0}
+    reduce, expand = lorentz._reduce_powered, lorentz._sorted_distinct
+
+    def full(arr, lp):
+        rows["full"] += len(arr)
+        return reduce(arr, lp)
+
+    def distinct(axes):
+        rows["distinct"] += 1
+        return expand(axes)
+
+    monkeypatch.setattr(lorentz, "_reduce_powered", full)
+    monkeypatch.setattr(lorentz, "_sorted_distinct", distinct)
+    return rows
+
+
+@pytest.mark.parametrize("shape", [(2**14,), (128, 128), (32, 32, 16)], ids=["m1", "m2", "m3"])
+def test_tensor_rows_sort_distinct_products_with_the_full_sort_bits(monkeypatch, shape):
+    rng = np.random.default_rng(54 + len(shape))
+    lp = LorentzParams(3.0, 1.5)
+    size = math.prod(shape)
+    # rows 0-3 repeat five values per axis, row 2 is all zero on the last
+    # axis, and rows 4-5 are all distinct, so they keep the full sort
+    tables = [
+        np.concatenate([rng.choice(rng.uniform(0.0, 2.0, 5), (4, N)), rng.uniform(size=(2, N))])
+        for N in shape
+    ]
+    tables[-1][2] = 0.0
+    want = full_sort_norms(tables, lp)
+    rows = record_outer_paths(monkeypatch)
+    whole = lorentz._outer_norms([t.copy() for t in tables], lp)
+    assert rows == {"full": 2, "distinct": 4}
+    assert whole.tobytes() == want.tobytes()
+    assert whole[2] == 0.0
+    # one row per chunk, and each row alone
+    monkeypatch.setattr(lorentz, "_CHUNK_BYTES", 16 * size)
+    chunked = lorentz._outer_norms([t.copy() for t in tables], lp)
+    alone = [lorentz._outer_norms([t[b : b + 1].copy() for t in tables], lp) for b in range(6)]
+    assert rows == {"full": 6, "distinct": 12}
+    assert chunked.tobytes() == whole.tobytes() == np.concatenate(alone).tobytes()
+
+
+def check_outer_norms(monkeypatch):
+    """Patch every binding of _outer_norms to compare each result with full_sort_norms."""
+    outer = lorentz._outer_norms
+
+    def checked(tables, lp):
+        want = full_sort_norms(tables, lp)
+        got = outer(tables, lp)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    monkeypatch.setattr(lorentz, "_outer_norms", checked)
+    monkeypatch.setattr(spectral, "_outer_norms", checked)
+
+
+def test_deg32_corpus_tensor_members_keep_the_full_sort_bits(monkeypatch):
+    # the multiplier images, blocks and tails of lacunary and single-block
+    # members repeat their one-axis samples on 256 points; on 16^2 every row
+    # keeps the full sort
+    corpus = {cf.fid: cf.poly for cf in generate_corpus(7, 2, 32)}
+    lp = LorentzParams(3.0, 1.5)
+    rng = np.random.default_rng(57)
+    check_outer_norms(monkeypatch)
+    rows = record_outer_paths(monkeypatch)
+    for fid, shape in (("lacunary/0", (256, 256)), ("single_block/2", (256, 256)), ("single_block/1", (16, 16))):
+        f = corpus[fid]
+        assert f.factors is not None
+        h = rng.uniform(0.05, 1.0, size=(4, 2))
+        multiplier_norms(f, _difference_factors(f, h, (1, 1)), lp, shape)
+        multiplier_norms(f, _nonzero_rows(f, _block_tables(f))[1], lp, shape)
+        block_norms(f, lp, shape)
+        tail_square_norms(f, lp, shape)
+        if shape == (16, 16):
+            assert rows["distinct"] == 0 and rows["full"] > 0
+        else:
+            assert rows["distinct"] > 0
+        rows.update(full=0, distinct=0)
 
 
 def test_negated_step_weights_are_cached_read_only(monkeypatch):

@@ -351,6 +351,18 @@ def test_seminorm_reuses_precomputed_grid_exactly():
             log_modulus_seminorm(f, sp, L2, nu_max=(6,), grid=other)
         with pytest.raises(InvalidParams, match="grid built at"):
             norm_bold_B(f, L2, sp, nu_max=(6,), grid=other)
+    # and so is one sampled on another grid: its moduli are other numbers
+    g = cosine(3) + cosine(5)
+    sp = SmoothParams(1.0, 0.5)
+    fresh = log_modulus_seminorm(g, sp, LP_MIXED, nu_max=(12,), shape=(16,))
+    own = modulus_grid(g, 1, LP_MIXED, (12,), shape=(16,))
+    assert log_modulus_seminorm(g, sp, LP_MIXED, nu_max=(12,), shape=16, grid=own) == fresh
+    fine = modulus_grid(g, 1, LP_MIXED, (12,), shape=(256,))
+    with pytest.raises(InvalidParams, match="grid built at"):
+        log_modulus_seminorm(g, sp, LP_MIXED, nu_max=(12,), shape=(16,), grid=fine)
+    with pytest.raises(InvalidParams, match="grid built at"):
+        norm_bold_B(g, LP_MIXED, sp, nu_max=(12,), shape=(16,), grid=fine)
+    assert (own.shape, fine.shape) == ((16,), (256,))
 
 
 def test_seminorm_scales_linearly():
