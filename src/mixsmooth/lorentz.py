@@ -72,6 +72,7 @@ reference the tests compare with.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -257,7 +258,7 @@ def _outer_norms(tables, lp: LorentzParams) -> np.ndarray:
         mean = np.prod([np.add.reduce(t, axis=-1) / t.shape[1] for t in tables], axis=0)
         return mean ** (1.0 / lp.tau)
     shape = [t.shape[1] for t in tables]
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     full, few = _distinct_axes(tables, size)
     norms = np.empty(len(tables[0]))
     for b, axes in few.items():

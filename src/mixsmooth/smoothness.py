@@ -230,7 +230,6 @@ def modulus_grid(
     nu_max = _level_tuple(nu_max, f.dim)
     if h_grid < 2:
         raise InvalidParams(f"h_grid must be >= 2, got {h_grid}")
-    shape = _grid(f, shape)
     return _fold_grid(
         f, k, lp, nu_max, h_grid, lambda pts: difference_norms(f, pts, k, lp, shape), shape
     )
@@ -343,8 +342,8 @@ def log_modulus_seminorm(
     past the spectral radius, the box grows until the certified tail stays
     under 1% of the partial value.  A precomputed ModulusGrid can be passed
     to reuse modulus values; it must match (p, tau, k, h_grid) and the
-    sampling grid, or InvalidParams is raised.  A box that fits inside it is sliced from it, and a larger box
-    is tabulated at exactly its own size.
+    sampling grid, or InvalidParams is raised.  A box that fits inside it is
+    sliced from it, and a larger box is tabulated at exactly its own size.
     """
     if sp.dim != f.dim:
         raise InvalidParams(f"smoothness bundle has {sp.dim} axes, function has {f.dim}")

@@ -642,20 +642,20 @@ def check_outer_norms(monkeypatch):
 
 
 def test_deg32_corpus_tensor_members_keep_the_full_sort_bits(monkeypatch):
-    # the multiplier images, blocks and tails of lacunary and single-block
-    # members repeat their one-axis samples on 256 points; on 16^2 every row
-    # keeps the full sort
+    # the difference images, blocks (multiplier_norms of the block masks) and
+    # tails of lacunary and single-block members repeat their one-axis
+    # samples on 256 points; on 16^2 every row keeps the full sort
     corpus = {cf.fid: cf.poly for cf in generate_corpus(7, 2, 32)}
     lp = LorentzParams(3.0, 1.5)
     rng = np.random.default_rng(57)
     check_outer_norms(monkeypatch)
     rows = record_outer_paths(monkeypatch)
-    for fid, shape in (("lacunary/0", (256, 256)), ("single_block/2", (256, 256)), ("single_block/1", (16, 16))):
+    cases = [("lacunary/0", (256, 256)), ("single_block/2", (256, 256)), ("single_block/1", (16, 16))]
+    for fid, shape in cases:
         f = corpus[fid]
         assert f.factors is not None
         h = rng.uniform(0.05, 1.0, size=(4, 2))
         multiplier_norms(f, _difference_factors(f, h, (1, 1)), lp, shape)
-        multiplier_norms(f, _nonzero_rows(f, _block_tables(f))[1], lp, shape)
         block_norms(f, lp, shape)
         tail_square_norms(f, lp, shape)
         if shape == (16, 16):
